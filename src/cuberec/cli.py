@@ -58,8 +58,11 @@ def _load_ics(args, multiple: bool = False) -> list[lattice.InitialConditions]:
     files = args.ic_file if multiple else ([args.ic_file] if args.ic_file else [])
     ics.extend(p for p in (presets or []) if p is not None)
     for path in files or []:
-        with open(path) as fh:
-            ics.append(lattice.from_json(json.load(fh)))
+        try:
+            with open(path) as fh:
+                ics.append(lattice.from_json(json.load(fh)))
+        except (OSError, ValueError, KeyError) as exc:
+            raise _usage_error(f"bad --ic-file {path}: {exc}")
     if not ics:
         raise _usage_error("provide --preset or --ic-file")
     return ics
@@ -264,15 +267,15 @@ def _prop_octahedron(ic, ctx):
     report = recurrence.octahedron_check(ic)
     if not report.equal:
         return "transformed recurrence disagrees with the direct one"
-    filtered = laurent.LaurentPoly.zero()
-    for g in ctx["groves"]:
+
+    def balanced(g):
         st = groves.stats(g)
-        if st.n_a + st.n_b == st.n_c:
-            m = groves.monomial_of(g)
-            filtered = filtered + laurent.drop_variables(
-                laurent.LaurentPoly.monomial(m.coeff, m.exps),
-                (laurent.TAG_A, laurent.TAG_B, laurent.TAG_C),
-            )
+        return st.n_a + st.n_b == st.n_c
+
+    filtered = laurent.drop_variables(
+        groves.grove_sum(filter(balanced, ctx["groves"])),
+        (laurent.TAG_A, laurent.TAG_B, laurent.TAG_C),
+    )
     if filtered != report.direct:
         return "grove filter does not match the two-term specialization"
     return None
@@ -292,6 +295,24 @@ PROPERTIES = {
 }
 
 
+class _VerifyContext(dict):
+    """What the properties share about one ic; each entry is built on first use."""
+
+    def __init__(self, ic, brute_cap: int):
+        super().__init__(brute_cap=brute_cap)
+        self.ic = ic
+
+    def __missing__(self, key):
+        if key == "f_sym":
+            value = recurrence.f_symbolic(self.ic)
+        elif key == "groves":
+            value = _sorted_groves(groves.enumerate_local_moves(self.ic))
+        else:
+            raise KeyError(key)
+        self[key] = value
+        return value
+
+
 def cmd_verify(args) -> int:
     props = args.props.split(",") if args.props else list(PROPERTIES)
     unknown = [p for p in props if p not in PROPERTIES]
@@ -300,11 +321,7 @@ def cmd_verify(args) -> int:
     results = []
     ok = True
     for ic in _load_ics(args, multiple=True):
-        ctx = {
-            "f_sym": recurrence.f_symbolic(ic),
-            "groves": _sorted_groves(groves.enumerate_local_moves(ic)),
-            "brute_cap": args.brute_cap,
-        }
+        ctx = _VerifyContext(ic, args.brute_cap)
         for name in props:
             witness = PROPERTIES[name](ic, ctx)
             ok = ok and witness is None

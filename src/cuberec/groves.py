@@ -212,14 +212,6 @@ def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
     return None
 
 
-def is_grove(ic: InitialConditions, long_edges: Iterable[Rhombus], N: int | None = None) -> bool:
-    try:
-        g = Grove(ic, frozenset(long_edges))
-    except ValueError:
-        return False
-    return check_grove(g, N) is None
-
-
 def is_acyclic(g: Grove, N: int | None = None) -> bool:
     """Cycle detection on the window graph; the forced chains outside are paths."""
     ic = g.ic
@@ -295,11 +287,7 @@ def grove_from_monomial(ic: InitialConditions, m: Monomial) -> Grove:
 
 def grove_sum(groves: Iterable[Grove]) -> LaurentPoly:
     """Sum of grove monomials as a polynomial."""
-    total = LaurentPoly.zero()
-    for g in groves:
-        m = monomial_of(g)
-        total = total + LaurentPoly.monomial(m.coeff, m.exps)
-    return total
+    return LaurentPoly(monomial_of(g) for g in groves)
 
 
 def coeffone_sums(g: Grove, r: Rhombus) -> int:
@@ -502,11 +490,6 @@ def asm_triangle(g: Grove) -> list[list[int]]:
             row.append(deg.get((i, j, k), 2) - 2)
         rows.append(row)
     return rows
-
-
-def grove_count_formula(n: int) -> int:
-    """Number of standard groves of order n."""
-    return 3 ** (n * n // 4)
 
 
 def window_point_count(N: int) -> int:

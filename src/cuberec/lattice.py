@@ -130,10 +130,6 @@ class Rhombus(NamedTuple):
         )
 
 
-def edge_variable(r: Rhombus) -> VarKey:
-    return r.variable()
-
-
 class InitialConditions:
     """Initial conditions induced by an order ideal inside the origin cone."""
 
@@ -351,6 +347,8 @@ def explicit(u_fin: Iterable[Point3]) -> InitialConditions:
 
 def from_json(obj: dict) -> InitialConditions:
     """Parse the initial-conditions JSON forms."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"initial conditions must be a JSON object, not {obj!r}")
     if "explicit" in obj:
         return explicit(tuple(p) for p in obj["explicit"]["u_fin"])
     kind = obj.get("preset")

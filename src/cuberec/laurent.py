@@ -336,14 +336,6 @@ def canonical_term_order(exps_keys: Iterable[Exps]) -> list[Exps]:
     return sorted(keys, key=key, reverse=True)
 
 
-def add(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p + q
-
-
-def mul(p: LaurentPoly, q: LaurentPoly) -> LaurentPoly:
-    return p * q
-
-
 def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     """Exact division: the q with q*d == p.
 
@@ -413,6 +405,21 @@ def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._raw(out)
 
 
+def _split_by_exponent(p: LaurentPoly, v: VarKey) -> dict[int, LaurentPoly]:
+    """Write p as the sum of part * v**e; map each e to its part, free of v."""
+    groups: dict[int, dict[Exps, int]] = {}
+    for e, c in p._terms.items():
+        exp = 0
+        rest = []
+        for var, x in e:
+            if var == v:
+                exp = x
+            else:
+                rest.append((var, x))
+        groups.setdefault(exp, {})[tuple(rest)] = c
+    return {exp: LaurentPoly._raw(data) for exp, data in groups.items()}
+
+
 def substitute(
     p: LaurentPoly,
     v: VarKey,
@@ -427,16 +434,7 @@ def substitute(
     """
     if isinstance(value, int):
         value = LaurentPoly.constant(value)
-    groups: dict[int, dict[Exps, int]] = {}
-    for e, c in p._terms.items():
-        exp = 0
-        rest = []
-        for var, x in e:
-            if var == v:
-                exp = x
-            else:
-                rest.append((var, x))
-        groups.setdefault(exp, {})[tuple(rest)] = c
+    groups = _split_by_exponent(p, v)
 
     if any(exp < 0 for exp in groups):
         if inverse_value is None:
@@ -445,8 +443,7 @@ def substitute(
             raise MissingInverse("inverse_value must be a monomial inverse of value")
 
     result = LaurentPoly.zero()
-    for exp, data in sorted(groups.items()):
-        part = LaurentPoly._raw(data)
+    for exp, part in sorted(groups.items()):
         if exp == 0:
             result = result + part
         elif exp > 0:

@@ -19,15 +19,21 @@ where the coefficient system depends on the mode:
     all-ones    every variable is 1; numeric evaluation only
     custom      A,B,C are fixed monomials in the indeterminate t
 
-Three evaluators are provided: a memoized symbolic recursion (f_symbolic), an
-independent builder that starts from the trivial ideal and applies the
-point-replacement substitution along the reversed peel sequence
-(f_via_substitution), and an exact rational recursion that never expands
-polynomials (f_numeric).
+Three evaluators are provided.  f_symbolic and f_numeric share one walk up
+the peel sequence (_walk), over Laurent polynomials with exact division and
+over rationals respectively; only the ring differs.  f_via_substitution is
+kept independent of that walk: it starts from the trivial ideal and applies
+the point-replacement substitution along the reversed peel sequence, so it
+checks f_symbolic.  f_numeric is checked independently by the
+one-dimensional Gale-Robinson recursion in ``sequences`` and by evaluating
+f_symbolic's polynomial.  The two-term specialization is checked against its
+own index-transformed recurrence (_g_transform_poly), which also stays off
+the walk.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -47,6 +53,7 @@ from .laurent import (
     bvar,
     cvar,
     div_exact,
+    _split_by_exponent,
     xvar,
 )
 from .lattice import InitialConditions, Point3
@@ -78,6 +85,17 @@ class DivisionByZeroDuringRecursion(ZeroDivisionError):
         super().__init__(f"recurrence value vanished at {point}")
 
 
+class RecursionEscaped(ValueError):
+    """The recursion needed a point that is neither computed nor initial.
+
+    Only initial conditions built with ``validate=False`` can get here.
+    """
+
+    def __init__(self, point: Point3):
+        self.point = point
+        super().__init__(f"recursion escaped the initial conditions at {point}")
+
+
 def _neighbor_scheme(w: Point3):
     i, j, k = w
     pairs = (
@@ -88,52 +106,69 @@ def _neighbor_scheme(w: Point3):
     return pairs, (i - 1, j - 1, k - 1)
 
 
-def _t_monomial(spec: tuple[int, int]) -> LaurentPoly:
-    coeff, exp = spec
-    return LaurentPoly.monomial(coeff, [(T, exp)] if exp else [])
+def _coeffs(w: Point3, mode, weight) -> tuple:
+    """The three coefficients at w, in the ring of ``weight``.
 
-
-def _symbolic_coeffs(w: Point3, mode) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly]:
+    ``weight(v, exp, coeff)`` is coeff * v**exp in that ring.  Shift-octa
+    coefficients are plain integers, which act in either ring.
+    """
+    if mode == MODE_SHIFT_OCTA:
+        return (1, 1, 0)
+    if mode == MODE_ABC:
+        return (weight(ALPHA), weight(BETA), weight(GAMMA))
     i, j, k = w
     if mode == MODE_EDGE_VARS:
-        a = LaurentPoly.variable(avar(j, k))
-        b = LaurentPoly.variable(bvar(i, k))
-        c = LaurentPoly.variable(cvar(i, j))
-        return (b * c, c * a, a * b)
-    if mode == MODE_SHIFT_OCTA:
-        one = LaurentPoly.one()
-        return (one, one, LaurentPoly.zero())
-    if isinstance(mode, CustomMode):
-        ma, mb, mc = _t_monomial(mode.a), _t_monomial(mode.b), _t_monomial(mode.c)
-        return (mb * mc, mc * ma, ma * mb)
-    raise ValueError(f"unsupported symbolic mode {mode!r}")
+        a, b, c = weight(avar(j, k)), weight(bvar(i, k)), weight(cvar(i, j))
+    elif isinstance(mode, CustomMode):
+        a, b, c = (weight(T, exp, coeff) for coeff, exp in (mode.a, mode.b, mode.c))
+    else:
+        raise ValueError(f"unsupported mode {mode!r}")
+    return (b * c, c * a, a * b)
+
+
+def _walk(ic: InitialConditions, leaf, coeffs, divide):
+    """The origin value of the cube recurrence, in any ring.
+
+    ``leaf(p)`` is the value at an initial point p, ``coeffs(w)`` the three
+    coefficients at w and ``divide(num, den)`` the exact quotient.  Points of
+    u_fin are visited in peel order, so the eight values below each one are
+    known or initial.
+    """
+    memo = {}
+
+    def value(p: Point3):
+        got = memo.get(p)
+        if got is not None:
+            return got
+        if not ic.in_I(p):
+            raise RecursionEscaped(p)
+        return leaf(p)
+
+    for w in ic.peel_sequence():
+        pairs, d = _neighbor_scheme(w)
+        num = 0
+        for coeff, (p1, p2) in zip(coeffs(w), pairs):
+            if coeff:
+                num = num + coeff * value(p1) * value(p2)
+        den = value(d)
+        if not den:
+            raise DivisionByZeroDuringRecursion(d)
+        # A zero num may still be the integer 0, if every coefficient vanished.
+        memo[w] = divide(num, den) if num else 0 * den
+
+    return value((0, 0, 0))
 
 
 def f_symbolic(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPoly:
     """The exact Laurent polynomial at the origin for the given mode."""
     if mode == MODE_ABC:
         return abc_from_edge_vars(f_symbolic(ic, MODE_EDGE_VARS))
-    memo: dict[Point3, LaurentPoly] = {}
-
-    def value(p: Point3) -> LaurentPoly:
-        got = memo.get(p)
-        if got is not None:
-            return got
-        assert ic.in_I(p), f"recursion escaped the initial conditions at {p}"
-        return LaurentPoly.variable(xvar(*p))
-
-    # Ascending coordinate sum guarantees all eight lower values exist.
-    for w in sorted(ic.u_fin, key=lambda p: (p[0] + p[1] + p[2], p)):
-        pairs, d = _neighbor_scheme(w)
-        coeffs = _symbolic_coeffs(w, mode)
-        num = LaurentPoly.zero()
-        for coeff, (p1, p2) in zip(coeffs, pairs):
-            if coeff.is_zero():
-                continue
-            num = num + coeff * value(p1) * value(p2)
-        memo[w] = div_exact(num, value(d))
-
-    return value((0, 0, 0))
+    return _walk(
+        ic,
+        lambda p: LaurentPoly.variable(xvar(*p)),
+        lambda w: _coeffs(w, mode, LaurentPoly.variable),
+        div_exact,
+    )
 
 
 def f_via_substitution(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPoly:
@@ -149,14 +184,12 @@ def f_via_substitution(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPol
     poly = LaurentPoly.variable(xvar(0, 0, 0))
     for w in reversed(ic.peel_sequence()):
         pairs, d = _neighbor_scheme(w)
-        coeffs = _symbolic_coeffs(w, mode)
         numerator = LaurentPoly.zero()
-        for coeff, (p1, p2) in zip(coeffs, pairs):
-            if coeff.is_zero():
-                continue
-            numerator = numerator + coeff * LaurentPoly.monomial(
-                1, [(xvar(*p1), 1), (xvar(*p2), 1)]
-            )
+        for coeff, (p1, p2) in zip(_coeffs(w, mode, LaurentPoly.variable), pairs):
+            if coeff:
+                numerator = numerator + coeff * LaurentPoly.monomial(
+                    1, [(xvar(*p1), 1), (xvar(*p2), 1)]
+                )
         poly = _substitute_ratio(poly, xvar(*w), numerator, xvar(*d))
     return poly
 
@@ -164,33 +197,20 @@ def f_via_substitution(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPol
 def _substitute_ratio(
     poly: LaurentPoly, v: VarKey, numerator: LaurentPoly, denom_var: VarKey
 ) -> LaurentPoly:
-    # Replace v by numerator / denom_var, grouping terms by the exponent of v.
-    groups: dict[int, LaurentPoly] = {}
-    for m in poly.terms():
-        exp = 0
-        rest = []
-        for var, x in m.exps:
-            if var == v:
-                exp = x
-            else:
-                rest.append((var, x))
-        part = groups.get(exp, LaurentPoly.zero())
-        groups[exp] = part + LaurentPoly.monomial(m.coeff, rest)
-
-    min_exp = min(groups) if groups else 0
-    if min_exp >= 0:
-        out = LaurentPoly.zero()
-        for e, part in groups.items():
-            out = out + part * numerator**e * LaurentPoly.variable(denom_var, -e)
-        return out
-    # Clear the negative powers of the substituted value, divide once at the end.
-    shift = -min_exp
-    assembled = LaurentPoly.zero()
-    for e, part in groups.items():
-        assembled = assembled + (
+    # Replace v by numerator / denom_var.  Negative powers of v are cleared by
+    # multiplying through by numerator**shift and divided out once at the end.
+    # The summands are one whole polynomial per exponent of v, a handful, so
+    # summing them copies each term a bounded number of times.
+    groups = _split_by_exponent(poly, v)
+    shift = max(0, -min(groups, default=0))
+    assembled = sum(
+        (
             part * numerator ** (e + shift) * LaurentPoly.variable(denom_var, -e)
-        )
-    return div_exact(assembled, numerator**shift)
+            for e, part in groups.items()
+        ),
+        LaurentPoly.zero(),
+    )
+    return div_exact(assembled, numerator**shift) if shift else assembled
 
 
 def abc_from_edge_vars(p: LaurentPoly) -> LaurentPoly:
@@ -200,8 +220,8 @@ def abc_from_edge_vars(p: LaurentPoly) -> LaurentPoly:
     to sqrt(alpha*beta/gamma).  Doubled exponents are tracked as integers and
     halved at the end; odd parity raises HalfIntegerExponent.
     """
-    out = LaurentPoly.zero()
-    for m in p.terms():
+
+    def mapped(m):
         na = nb = nc = 0
         rest = []
         for v, x in m.exps:
@@ -221,24 +241,9 @@ def abc_from_edge_vars(p: LaurentPoly) -> LaurentPoly:
         for var, d in zip((ALPHA, BETA, GAMMA), doubled):
             if d:
                 rest.append((var, d // 2))
-        out = out + LaurentPoly.monomial(m.coeff, rest)
-    return out
+        return (m.coeff, rest)
 
-
-def _numeric_coeffs(w: Point3, mode, lookup) -> tuple[Fraction, Fraction, Fraction]:
-    i, j, k = w
-    if mode == MODE_EDGE_VARS or mode == MODE_ALL_ONES:
-        a, b, c = lookup(avar(j, k)), lookup(bvar(i, k)), lookup(cvar(i, j))
-        return (b * c, c * a, a * b)
-    if mode == MODE_ABC:
-        return (lookup(ALPHA), lookup(BETA), lookup(GAMMA))
-    if mode == MODE_SHIFT_OCTA:
-        return (Fraction(1), Fraction(1), Fraction(0))
-    if isinstance(mode, CustomMode):
-        t = lookup(T)
-        ma, mb, mc = (Fraction(co) * t**e for co, e in (mode.a, mode.b, mode.c))
-        return (mb * mc, mc * ma, ma * mb)
-    raise ValueError(f"unsupported numeric mode {mode!r}")
+    return LaurentPoly(mapped(m) for m in p.terms())
 
 
 def f_numeric(
@@ -255,6 +260,8 @@ def f_numeric(
     if assign is None and default is None:
         default = 1
     assign = assign or {}
+    if mode == MODE_ALL_ONES:
+        mode = MODE_EDGE_VARS  # the ones come from the assignment or ``default``
 
     def lookup(v: VarKey) -> Fraction:
         if v in assign:
@@ -263,28 +270,16 @@ def f_numeric(
             return Fraction(default)
         raise laurent.UnassignedVariable(laurent.var_name(v))
 
-    memo: dict[Point3, Fraction] = {}
+    def weight(v: VarKey, exp: int = 1, coeff: int = 1) -> Fraction:
+        x = lookup(v)
+        return x if exp == 1 and coeff == 1 else coeff * x**exp
 
-    def value(p: Point3) -> Fraction:
-        got = memo.get(p)
-        if got is not None:
-            return got
-        assert ic.in_I(p), f"recursion escaped the initial conditions at {p}"
-        return lookup(xvar(*p))
-
-    for w in sorted(ic.u_fin, key=lambda p: (p[0] + p[1] + p[2], p)):
-        pairs, d = _neighbor_scheme(w)
-        coeffs = _numeric_coeffs(w, mode, lookup)
-        num = Fraction(0)
-        for coeff, (p1, p2) in zip(coeffs, pairs):
-            if coeff:
-                num += coeff * value(p1) * value(p2)
-        denom = value(d)
-        if denom == 0:
-            raise DivisionByZeroDuringRecursion(d)
-        memo[w] = num / denom
-
-    return value((0, 0, 0))
+    return _walk(
+        ic,
+        lambda p: lookup(xvar(*p)),
+        lambda w: _coeffs(w, mode, weight),
+        operator.truediv,
+    )
 
 
 @dataclass(frozen=True)
@@ -312,9 +307,10 @@ def octahedron_check(ic: InitialConditions) -> OctahedronReport:
 def _g_transform_poly(ic: InitialConditions) -> LaurentPoly:
     memo: dict[Point3, LaurentPoly] = {}
 
+    # Every step below changes x+y+z by 0 or -2, so from the origin it stays
+    # even and the halving is exact.
     def to_lattice(g: Point3) -> Point3:
         x, y, z = g
-        assert (x + y + z) % 2 == 0
         return ((x + y - z) // 2, (x - y + z) // 2, (x - y - z) // 2)
 
     def children(g: Point3):
@@ -336,7 +332,8 @@ def _g_transform_poly(ic: InitialConditions) -> LaurentPoly:
             memo[g] = LaurentPoly.variable(xvar(*p))
             stack.pop()
             continue
-        assert ic.in_cone(p) and ic.in_U(p), f"transform escaped the cone at {p}"
+        if not (ic.in_cone(p) and ic.in_U(p)):
+            raise RecursionEscaped(p)
         (pair1, pair2, below) = children(g)
         pending = [c for c in (*pair1, *pair2, below) if c not in memo]
         if pending:

@@ -15,6 +15,7 @@ term against the renamed cube-recurrence polynomial.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,6 +57,30 @@ SOMOS6 = GaleRobinsonSpec(1, 2, 3)
 SOMOS7 = GaleRobinsonSpec(4, 1, 2)
 
 
+def _gr_extend(spec: GaleRobinsonSpec, terms: list, coeffs, count: int, divide) -> list:
+    """Extend the n initial ``terms`` in place to ``count`` terms of the recurrence.
+
+    ``coeffs`` are alpha, beta, gamma in the ring of the terms and
+    ``divide(num, den)`` is its exact division; a ``count`` below n keeps the
+    first ``count`` initial terms.
+    """
+    n, p, q, r = spec.n, spec.p, spec.q, spec.r
+    alpha, beta, gamma = coeffs
+    del terms[count:]
+    while len(terms) < count:
+        m = len(terms)
+        l = m - n
+        if not terms[l]:
+            raise ZeroDivisionError(f"term y_{l} is zero")
+        num = (
+            alpha * terms[l + p] * terms[m - p]
+            + beta * terms[l + q] * terms[m - q]
+            + gamma * terms[l + r] * terms[m - r]
+        )
+        terms.append(divide(num, terms[l]))
+    return terms
+
+
 def gr_terms(
     spec: GaleRobinsonSpec, count: int, initial: list[Fraction] | None = None
 ) -> list[Fraction]:
@@ -64,19 +89,8 @@ def gr_terms(
     terms = [Fraction(v) for v in (initial if initial is not None else [1] * n)]
     if len(terms) != n:
         raise ValueError(f"need exactly {n} initial terms")
-    del terms[count:]
-    while len(terms) < count:
-        m = len(terms)
-        l = m - n
-        if terms[l] == 0:
-            raise ZeroDivisionError(f"term y_{l} is zero")
-        num = (
-            spec.alpha * terms[l + spec.p] * terms[m - spec.p]
-            + spec.beta * terms[l + spec.q] * terms[m - spec.q]
-            + spec.gamma * terms[l + spec.r] * terms[m - spec.r]
-        )
-        terms.append(num / terms[l])
-    return terms
+    coeffs = (spec.alpha, spec.beta, spec.gamma)
+    return _gr_extend(spec, terms, coeffs, count, operator.truediv)
 
 
 def gr_symbolic(spec: GaleRobinsonSpec, l: int | None = None) -> LaurentPoly:
@@ -85,21 +99,10 @@ def gr_symbolic(spec: GaleRobinsonSpec, l: int | None = None) -> LaurentPoly:
     Runs the one-dimensional recurrence directly with exact division; this is
     the independent oracle for the cube-recurrence reduction.
     """
-    n = spec.n
     l = spec.l if l is None else l
-    values = [LaurentPoly.variable(yvar(m)) for m in range(n)]
-    al = LaurentPoly.variable(ALPHA)
-    be = LaurentPoly.variable(BETA)
-    ga = LaurentPoly.variable(GAMMA)
-    for m in range(n, l + 1):
-        base = m - n
-        num = (
-            al * values[base + spec.p] * values[m - spec.p]
-            + be * values[base + spec.q] * values[m - spec.q]
-            + ga * values[base + spec.r] * values[m - spec.r]
-        )
-        values.append(div_exact(num, values[base]))
-    return values[l]
+    terms = [LaurentPoly.variable(yvar(m)) for m in range(spec.n)]
+    coeffs = tuple(LaurentPoly.variable(v) for v in (ALPHA, BETA, GAMMA))
+    return _gr_extend(spec, terms, coeffs, l + 1, div_exact)[l]
 
 
 def gr_renamed_cube_poly(spec: GaleRobinsonSpec, l: int | None = None) -> LaurentPoly:

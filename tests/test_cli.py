@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cuberec import cli, laurent, lattice, recurrence
+from cuberec import cli, groves, laurent, lattice, recurrence
 
 
 def run(capsys, *argv):
@@ -72,6 +72,16 @@ def test_verify_multiple_presets(capsys):
     assert code == 0 and len(report["results"]) == 4
 
 
+def test_verify_builds_only_what_the_properties_read(monkeypatch, capsys):
+    def unneeded(*args, **kwargs):
+        raise AssertionError("rhombcount reads neither the polynomial nor the groves")
+
+    monkeypatch.setattr(recurrence, "f_symbolic", unneeded)
+    monkeypatch.setattr(groves, "enumerate_local_moves", unneeded)
+    code, out = run(capsys, "verify", "--preset", "standard:3", "--props", "rhombcount")
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
 def test_sequence_with_certificates(capsys):
     code, out = run(
         capsys, "sequence", "--gr", "4,1,2", "--count", "12", "--certify-up-to", "11",
@@ -115,13 +125,26 @@ def test_render_to_file(tmp_path, capsys):
     assert code == 0 and "asm-entry" in asm_svg.read_text()
 
 
-def test_usage_errors_exit_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        cli.main(["compute"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        cli.main(["verify", "--preset", "standard:2", "--props", "imaginary"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        cli.main(["compute", "--preset", "standard:zero"])
-    assert err.value.code == 2
+def test_usage_errors_exit_2(tmp_path, capsys):
+    bad_files = {
+        "missing.json": None,
+        "not-json.json": "{not json",
+        "not-an-object.json": "[[0, 0, 0]]",
+        "outside-cone.json": json.dumps({"explicit": {"u_fin": [[1, 0, 0]]}}),
+        "not-upward-closed.json": json.dumps({"explicit": {"u_fin": [[-1, 0, 0]]}}),
+        "no-order.json": json.dumps({"preset": "standard"}),
+    }
+    argvs = [
+        ["compute"],
+        ["verify", "--preset", "standard:2", "--props", "imaginary"],
+        ["compute", "--preset", "standard:zero"],
+    ]
+    for name, text in bad_files.items():
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        argvs.append(["compute", "--ic-file", str(path)])
+    for argv in argvs:
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2, argv

@@ -67,7 +67,7 @@ def test_rhombi_in_J_counts_and_membership():
 
 def test_edge_variable_and_inverse():
     r = Rhombus("a", (0, -1, -2))
-    assert lattice.edge_variable(r) == avar(-1, -2)
+    assert r.variable() == avar(-1, -2)
     one = InitialConditions([(0, 0, 0)])
     assert one.variable_rhombus(cvar(0, 0)) == Rhombus("c", (0, 0, -1))
     with pytest.raises(NoSuchRhombus):

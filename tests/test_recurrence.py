@@ -1,5 +1,6 @@
 """Recurrence evaluators: symbolic, substitution, numeric, and specializations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ import pytest
 from conftest import random_ic
 from cuberec import lattice, laurent
 from cuberec.laurent import (
+    ALPHA,
+    BETA,
+    GAMMA,
     LaurentPoly,
     avar,
     bvar,
@@ -18,14 +22,17 @@ from cuberec.laurent import (
 from cuberec.lattice import InitialConditions
 from cuberec.recurrence import (
     MODE_ABC,
+    MODE_EDGE_VARS,
     MODE_SHIFT_OCTA,
     CustomMode,
     DivisionByZeroDuringRecursion,
+    RecursionEscaped,
     f_numeric,
     f_symbolic,
     f_via_substitution,
     octahedron_check,
 )
+from cuberec.sequences import GaleRobinsonSpec, gr_terms
 
 
 def mono(*items):
@@ -61,15 +68,34 @@ def test_substitution_evaluator_matches():
 
 def test_substitution_evaluator_matches_random():
     rng = random.Random(41)
+    custom = CustomMode(a=(1, 1), b=(1, 1), c=(1, -1))
+    modes = (MODE_EDGE_VARS, MODE_ABC, MODE_SHIFT_OCTA, custom)
     for _ in range(8):
         ic = random_ic(rng, depth=1)
-        assert f_via_substitution(ic) == f_symbolic(ic)
+        for mode in modes:
+            assert f_via_substitution(ic, mode) == f_symbolic(ic, mode), (ic, mode)
 
 
 def test_numeric_examples():
     assert f_numeric(InitialConditions(())) == 1
     assert f_numeric(lattice.standard(6)) == 19683
     assert f_numeric(lattice.gale_robinson(4, 1, 2, 11)) == 41
+    # The Gale-Robinson reduction: x(i,j,k) -> y_{4i+j+2k+l} turns the cube
+    # recurrence in abc mode into the one-dimensional (4,1,2) recursion.
+    rng = random.Random(47)
+    for l in range(7, 14):
+        y = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(7)]
+        alpha, beta, gamma = (
+            Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in range(3)
+        )
+        assign = {ALPHA: alpha, BETA: beta, GAMMA: gamma}
+        for p in itertools.product(range(-l, 1), repeat=3):
+            m = 4 * p[0] + p[1] + 2 * p[2] + l
+            if 0 <= m < 7:
+                assign[xvar(*p)] = y[m]
+        spec = GaleRobinsonSpec(4, 1, 2, alpha=alpha, beta=beta, gamma=gamma)
+        expected = gr_terms(spec, l + 1, initial=y)[l]
+        assert f_numeric(lattice.gale_robinson(4, 1, 2, l), assign, MODE_ABC) == expected
 
 
 def test_numeric_matches_symbolic_on_random_assignments():
@@ -88,6 +114,16 @@ def test_numeric_division_by_zero_reports_point():
     with pytest.raises(DivisionByZeroDuringRecursion) as err:
         f_numeric(ONE_STEP, {xvar(-1, -1, -1): 0}, default=1)
     assert err.value.point == (-1, -1, -1)
+
+
+def test_escaped_recursion_raises():
+    # Not upward closed: (-1,0,0) lies between the two points, so the step at
+    # (-1,-1,-1) needs (-2,-1,-1), which is neither computed nor initial.
+    ic = InitialConditions([(0, 0, 0), (-1, -1, -1)], validate=False)
+    for evaluate_origin in (f_symbolic, f_numeric):
+        with pytest.raises(RecursionEscaped) as err:
+            evaluate_origin(ic)
+        assert err.value.point == (-2, -1, -1)
 
 
 def test_abc_mode():
