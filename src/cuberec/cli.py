@@ -144,8 +144,11 @@ def cmd_render(args) -> int:
     else:
         ic = _load_ics(args)[0]
         if args.grove_file:
-            with open(args.grove_file) as fh:
-                g = groves.grove_from_json(ic, json.loads(fh.readline()))
+            try:
+                with open(args.grove_file) as fh:
+                    g = groves.grove_from_json(ic, json.loads(fh.readline()))
+            except (OSError, ValueError) as exc:
+                raise _usage_error(f"bad --grove-file {args.grove_file}: {exc}")
         else:
             gs = _sorted_groves(groves.enumerate_local_moves(ic))
             if not 0 <= args.grove_index < len(gs):
@@ -210,8 +213,9 @@ def _prop_coeffone(ic, ctx):
     bad = [c for c in ctx["f_sym"].coefficients() if c != 1]
     if bad:
         return f"non-unit coefficients {bad[:5]}"
+    rhombi = ic.rhombi_in_J(ic.min_cutoff)
     for g in ctx["groves"]:
-        for r in ic.rhombi_in_J(ic.min_cutoff):
+        for r in rhombi:
             s = groves.coeffone_sums(g, r)
             expected = -1 if r in g.long_edges else 0
             if s != expected:

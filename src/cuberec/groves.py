@@ -8,9 +8,9 @@ determines the grove in turn.
 
 Verification works on the finite window of radius N: the window has
 3*C(N+3,2)+1 vertices and 3*C(N+2,2) rhombi, each contributing exactly one
-edge, and a choice of edges extends to a grove exactly when the resulting
-graph is a forest whose components pair up one-to-one with the 3N+7 boundary
-classes.
+edge (the one rule _window_edges, behind every view of the window), and a
+choice of edges extends to a grove exactly when the resulting graph is a
+forest whose components pair up one-to-one with the 3N+7 boundary classes.
 
 Enumeration comes in two independent flavours:
 
@@ -31,9 +31,9 @@ Enumeration comes in two independent flavours:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .laurent import (
     TAG_A,
@@ -45,12 +45,15 @@ from .laurent import (
     xvar,
 )
 from .lattice import (
+    AXES,
     CutoffNotOdd,
     InitialConditions,
     NoSuchRhombus,
     NotACutoff,
     Point3,
     Rhombus,
+    as_point,
+    standard,
 )
 
 
@@ -117,6 +120,25 @@ class Grove:
     def sorted_long_edges(self) -> list[Rhombus]:
         return sorted(self.long_edges)
 
+    @cached_property
+    def _degrees(self) -> dict[Point3, int]:
+        """The window degree table, built on first use; shared, never mutate.
+
+        Rhombi below the window are forced to their short edge, which meets
+        the window only at the rhombus top, so tops at depth -N-1 and -N-2
+        pick up one forced increment each.
+        """
+        ic = self.ic
+        N = ic.min_cutoff
+        deg = dict.fromkeys(ic.points_in_J(N), 0)
+        for u, v in _window_edges(self, ic.rhombi_in_J(N)):
+            deg[u] += 1
+            deg[v] += 1
+        for r in ic.rhombi_touching_J(N):
+            if sum(r.top) < -N:
+                deg[r.top] += 1
+        return deg
+
 
 @dataclass(frozen=True)
 class GroveStats:
@@ -165,7 +187,8 @@ def boundary_classes(N: int) -> list[tuple[Point3, ...]]:
         classes.append(((0, 0, s),))
         classes.append(((0, s, 0),))
         classes.append(((s, 0, 0),))
-    assert len(classes) == 3 * N + 7
+    if len(classes) != 3 * N + 7:
+        raise RuntimeError(f"{len(classes)} boundary classes, expected {3 * N + 7}")
     return sorted(classes)
 
 
@@ -174,6 +197,24 @@ def _window(ic: InitialConditions, N: int):
     index = {p: t for t, p in enumerate(points)}
     rhombi = ic.rhombi_in_J(N)
     return points, index, rhombi
+
+
+def _window_edges(g: Grove, rhombi: Iterable[Rhombus]) -> Iterator[tuple[Point3, Point3]]:
+    """The edge g uses on each rhombus: its long edge if chosen, else its short edge."""
+    longs = g.long_edges
+    for r in rhombi:
+        yield r.long_edge() if r in longs else r.short_edge()
+
+
+def _window_forest(g: Grove, N: int):
+    """Union g's window edges; the third value is False once a union closed a cycle."""
+    points, index, rhombi = _window(g.ic, N)
+    dsu = _DisjointSet(len(points))
+    acyclic = True
+    for u, v in _window_edges(g, rhombi):
+        if not dsu.union(index[u], index[v]):
+            acyclic = False
+    return dsu, index, acyclic
 
 
 def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
@@ -186,12 +227,7 @@ def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
         if sum(r.top) < -N:
             return GroveViolation("compactness", f"long edge of deep rhombus {r}")
 
-    points, index, rhombi = _window(ic, N)
-    dsu = _DisjointSet(len(points))
-    for r in rhombi:
-        u, v = r.long_edge() if r in g.long_edges else r.short_edge()
-        dsu.union(index[u], index[v])
-
+    dsu, index, _ = _window_forest(g, N)
     classes = boundary_classes(N)
     owner: dict[int, tuple] = {}
     for cls in classes:
@@ -204,7 +240,7 @@ def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
                 "class-shared", f"classes {owner[root]} and {cls} share a component"
             )
         owner[root] = cls
-    components = len({dsu.find(t) for t in range(len(points))})
+    components = len({dsu.find(t) for t in range(len(index))})
     if components != 3 * N + 7:
         return GroveViolation(
             "component-count", f"{components} components, expected {3 * N + 7}"
@@ -214,55 +250,24 @@ def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
 
 def is_acyclic(g: Grove, N: int | None = None) -> bool:
     """Cycle detection on the window graph; the forced chains outside are paths."""
-    ic = g.ic
-    N = ic.min_cutoff if N is None else N
-    points, index, rhombi = _window(ic, N)
-    dsu = _DisjointSet(len(points))
-    for r in rhombi:
-        u, v = r.long_edge() if r in g.long_edges else r.short_edge()
-        if not dsu.union(index[u], index[v]):
-            return False
-    return True
+    return _window_forest(g, g.ic.min_cutoff if N is None else N)[2]
 
 
-def grove_degrees(g: Grove, N: int | None = None) -> dict[Point3, int]:
-    """Vertex degrees on the window; every vertex beyond it has degree 2.
-
-    Rhombi below the window are forced to their short edge, which meets the
-    window only at the rhombus top, so tops at depth -N-1 and -N-2 pick up one
-    forced increment each.
-    """
-    return dict(_grove_degree_items(g, g.ic.min_cutoff if N is None else N))
-
-
-@lru_cache(maxsize=65536)
-def _grove_degree_items(g: Grove, N: int) -> tuple:
-    ic = g.ic
-    deg = {p: 0 for p in ic.points_in_J(N)}
-    for r in ic.rhombi_touching_J(N):
-        if sum(r.top) >= -N:
-            u, v = r.long_edge() if r in g.long_edges else r.short_edge()
-            deg[u] += 1
-            deg[v] += 1
-        else:
-            deg[r.top] += 1
-    return tuple(deg.items())
+def grove_degrees(g: Grove) -> dict[Point3, int]:
+    """Vertex degrees on the minimal window; every vertex beyond it has degree 2."""
+    return dict(g._degrees)
 
 
 def stats(g: Grove) -> GroveStats:
-    n = {"a": 0, "b": 0, "c": 0}
-    for r in g.long_edges:
-        n[r.axis] += 1
-    degree = {p: d for p, d in grove_degrees(g).items() if d != 2}
-    return GroveStats(n_a=n["a"], n_b=n["b"], n_c=n["c"], degree=degree)
+    axes = [r.axis for r in g.long_edges]
+    degree = {p: d for p, d in g._degrees.items() if d != 2}
+    return GroveStats(*(axes.count(a) for a in AXES), degree=degree)
 
 
 def monomial_of(g: Grove) -> Monomial:
     """The grove monomial: long-edge variables times x**(degree-2)."""
     items = [(r.variable(), 1) for r in g.long_edges]
-    for p, d in grove_degrees(g).items():
-        if d != 2:
-            items.append((xvar(*p), d - 2))
+    items += [(xvar(*p), d - 2) for p, d in g._degrees.items() if d != 2]
     return Monomial(1, exps_from_items(items))
 
 
@@ -295,14 +300,9 @@ def coeffone_sums(g: Grove, r: Rhombus) -> int:
 
     Equals -1 exactly when the long edge of r appears in the grove, else 0.
     """
-    i0, j0, k0 = r.top
-    if r.axis == "a":
-        sel = lambda p: p[1] < j0 and p[2] < k0
-    elif r.axis == "b":
-        sel = lambda p: p[0] < i0 and p[2] < k0
-    else:
-        sel = lambda p: p[0] < i0 and p[1] < j0
-    return sum(d - 2 for p, d in grove_degrees(g).items() if sel(p))
+    x, y = {"a": (1, 2), "b": (0, 2), "c": (0, 1)}[r.axis]
+    tx, ty = r.top[x], r.top[y]
+    return sum(d - 2 for p, d in g._degrees.items() if p[x] < tx and p[y] < ty)
 
 
 def _local_step(u: Point3, configs: set[frozenset]) -> set[frozenset]:
@@ -416,11 +416,6 @@ def enumerate_bruteforce(
     return {Grove(ic, cfg) for cfg in found}
 
 
-def _even_edge(r: Rhombus) -> tuple[Point3, Point3]:
-    # Long edges join the two sum s-1 vertices, short edges the sums s and s-2.
-    return r.long_edge() if sum(r.top) % 2 != 0 else r.short_edge()
-
-
 def to_simplified(g: Grove, N: int | None = None) -> SimplifiedGrove:
     """The induced subgraph on even vertices within radius N (N odd)."""
     ic = g.ic
@@ -429,12 +424,9 @@ def to_simplified(g: Grove, N: int | None = None) -> SimplifiedGrove:
         raise NotACutoff(str(N))
     if N % 2 == 0:
         raise CutoffNotOdd(str(N))
-    edges = set()
-    for r in ic.rhombi_in_J(N):
-        long_chosen = r in g.long_edges
-        if long_chosen == (sum(r.top) % 2 != 0):
-            edges.add(_even_edge(r))
-    return SimplifiedGrove(ic=ic, N=N, edges=frozenset(edges))
+    # Both ends of an edge share the parity of their coordinate sum.
+    edges = frozenset(e for e in _window_edges(g, ic.rhombi_in_J(N)) if sum(e[0]) % 2 == 0)
+    return SimplifiedGrove(ic=ic, N=N, edges=edges)
 
 
 def from_simplified(s: SimplifiedGrove) -> Grove:
@@ -444,11 +436,13 @@ def from_simplified(s: SimplifiedGrove) -> Grove:
         raise NotACutoff(str(s.N))
     if s.N % 2 == 0:
         raise CutoffNotOdd(str(s.N))
-    longs = []
-    for r in ic.rhombi_in_J(s.N):
-        has_even = _even_edge(r) in s.edges
-        if has_even == (sum(r.top) % 2 != 0):
-            longs.append(r)
+    # Long edges join the two sum s-1 vertices, short edges the sums s and
+    # s-2, so the even edge of r is its long edge exactly when s is odd.
+    longs = [
+        r
+        for r in ic.rhombi_in_J(s.N)
+        if (r.long_edge() in s.edges if sum(r.top) % 2 else r.short_edge() not in s.edges)
+    ]
     return Grove(ic, frozenset(longs))
 
 
@@ -475,12 +469,10 @@ def asm_triangle(g: Grove) -> list[list[int]]:
     Only defined over the standard order-n initial conditions; entries always
     lie in {-1, 0, 1} because each layer point belongs to exactly three rhombi.
     """
-    from . import lattice
-
     n = g.ic.min_cutoff + 1
-    if g.ic != lattice.standard(n):
+    if g.ic != standard(n):
         raise ValueError("alternating-sign triangles require standard initial conditions")
-    deg = grove_degrees(g)
+    deg = g._degrees
     rows = []
     for r in range(n):
         i = -r
@@ -512,5 +504,10 @@ def grove_to_json(g: Grove) -> dict:
 
 
 def grove_from_json(ic: InitialConditions, obj: dict) -> Grove:
-    longs = frozenset(Rhombus(e[0], tuple(e[1:4])) for e in obj["long_edges"])
-    return Grove(ic, longs)
+    """Parse grove_to_json output; ValueError on a malformed or foreign edge."""
+    edges = obj.get("long_edges") if isinstance(obj, dict) else None
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and e and e[0] in AXES for e in edges
+    ):
+        raise ValueError(f"long_edges must be a list of [axis, i, j, k]: {obj!r}")
+    return Grove(ic, frozenset(Rhombus(e[0], as_point(e[1:])) for e in edges))

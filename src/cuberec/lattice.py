@@ -234,9 +234,12 @@ class InitialConditions:
     def rhombi_in_J(self, N: int | None = None) -> tuple[Rhombus, ...]:
         """All rhombi whose four vertices lie in the radius-N window."""
         N = self.min_cutoff if N is None else N
-        return tuple(
-            r for r in self.rhombi_touching_J(N) if sum(r.top) >= -N
-        )
+        cached = self._windows.get(("rhombi_in", N))
+        if cached is not None:
+            return cached
+        result = tuple(r for r in self.rhombi_touching_J(N) if sum(r.top) >= -N)
+        self._windows[("rhombi_in", N)] = result
+        return result
 
     def rhombi_touching_J(self, N: int | None = None) -> tuple[Rhombus, ...]:
         """All rhombi with top-vertex sum >= -N-2 (their edges can reach the window)."""
@@ -345,12 +348,22 @@ def explicit(u_fin: Iterable[Point3]) -> InitialConditions:
     return InitialConditions(u_fin)
 
 
+def as_point(p) -> Point3:
+    """The JSON list p as a point; ValueError unless it holds three integers."""
+    if not (isinstance(p, list) and len(p) == 3 and all(type(c) is int for c in p)):
+        raise ValueError(f"{p!r} is not a point [i, j, k] of three integers")
+    return tuple(p)
+
+
 def from_json(obj: dict) -> InitialConditions:
     """Parse the initial-conditions JSON forms."""
     if not isinstance(obj, dict):
         raise ValueError(f"initial conditions must be a JSON object, not {obj!r}")
     if "explicit" in obj:
-        return explicit(tuple(p) for p in obj["explicit"]["u_fin"])
+        u_fin = obj["explicit"]["u_fin"] if isinstance(obj["explicit"], dict) else None
+        if not isinstance(u_fin, list):
+            raise ValueError(f"explicit initial conditions need a u_fin list: {obj!r}")
+        return explicit(as_point(p) for p in u_fin)
     kind = obj.get("preset")
     if kind == "standard":
         return standard(int(obj["n"]))

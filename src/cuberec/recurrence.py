@@ -181,6 +181,13 @@ def f_via_substitution(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPol
     """
     if mode == MODE_ABC:
         return abc_from_edge_vars(f_via_substitution(ic, MODE_EDGE_VARS))
+
+    def checked_xvar(p: Point3) -> VarKey:
+        # Each point the step reads is restored later or stays initial.
+        if p not in ic.u_fin and not ic.in_I(p):
+            raise RecursionEscaped(p)
+        return xvar(*p)
+
     poly = LaurentPoly.variable(xvar(0, 0, 0))
     for w in reversed(ic.peel_sequence()):
         pairs, d = _neighbor_scheme(w)
@@ -188,9 +195,9 @@ def f_via_substitution(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPol
         for coeff, (p1, p2) in zip(_coeffs(w, mode, LaurentPoly.variable), pairs):
             if coeff:
                 numerator = numerator + coeff * LaurentPoly.monomial(
-                    1, [(xvar(*p1), 1), (xvar(*p2), 1)]
+                    1, [(checked_xvar(p1), 1), (checked_xvar(p2), 1)]
                 )
-        poly = _substitute_ratio(poly, xvar(*w), numerator, xvar(*d))
+        poly = _substitute_ratio(poly, xvar(*w), numerator, checked_xvar(d))
     return poly
 
 

@@ -133,6 +133,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         "outside-cone.json": json.dumps({"explicit": {"u_fin": [[1, 0, 0]]}}),
         "not-upward-closed.json": json.dumps({"explicit": {"u_fin": [[-1, 0, 0]]}}),
         "no-order.json": json.dumps({"preset": "standard"}),
+        "two-coordinate-point.json": json.dumps({"explicit": {"u_fin": [[0, 0]]}}),
+        "non-integer-point.json": json.dumps({"explicit": {"u_fin": [[0, 0, "a"]]}}),
     }
     argvs = [
         ["compute"],
@@ -148,3 +150,31 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2, argv
+
+
+def test_render_bad_grove_file_exits_2(tmp_path, capsys):
+    good = tmp_path / "good.jsonl"
+    code, _ = run(capsys, "enumerate", "--preset", "standard:2", "--out", str(good))
+    assert code == 0
+    bad_files = {
+        "missing.jsonl": None,
+        "not-json.jsonl": "{not json\n",
+        "no-long-edges.jsonl": json.dumps({"n": [0, 0, 0]}) + "\n",
+        "outside-ideal.jsonl": json.dumps({"long_edges": [["a", -5, 0, 0]]}) + "\n",
+        "malformed-edge.jsonl": json.dumps({"long_edges": [["a", 0]]}) + "\n",
+    }
+    paths = [good]
+    for name, text in bad_files.items():
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        paths.append(path)
+    for path in paths:
+        argv = ["render", "grove", "--preset", "standard:2", "--grove-file", str(path),
+                "--out", str(tmp_path / "grove.svg")]
+        if path is good:
+            assert cli.main(argv) == 0
+            continue
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv)
+        assert err.value.code == 2, path.name

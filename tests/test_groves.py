@@ -18,6 +18,7 @@ from cuberec.groves import (
     enumerate_bruteforce,
     enumerate_local_moves,
     from_simplified,
+    grove_degrees,
     grove_from_monomial,
     grove_sum,
     is_acyclic,
@@ -158,6 +159,24 @@ def test_bruteforce_oracle_random_ics():
         brute = enumerate_bruteforce(ic, cap=80)
         local = enumerate_local_moves(ic)
         assert {g.long_edges for g in brute} == {g.long_edges for g in local}
+
+
+def test_window_views_agree_on_random_ics():
+    rng = random.Random(2004)
+    for _ in range(16):
+        ic = random_ic(rng, depth=1, boxes=4)
+        gs = enumerate_local_moves(ic)
+        for g in gs:
+            assert check_grove(g) is None and is_acyclic(g), (ic, g)
+            s = to_simplified(g)
+            assert from_simplified(s) == g
+            assert simplified_components(s) == (3 * s.N + 5) // 2
+            degrees = grove_degrees(g)
+            assert stats(g).degree == {p: d for p, d in degrees.items() if d != 2}
+            m = monomial_of(g)
+            degrees.update((p, d + 1) for p, d in degrees.items())
+            assert monomial_of(g) == m and grove_degrees(g) != degrees
+        assert grove_sum(gs) == recurrence.f_symbolic(ic), ic
 
 
 def test_cutoff_independence():

@@ -120,10 +120,12 @@ def test_escaped_recursion_raises():
     # Not upward closed: (-1,0,0) lies between the two points, so the step at
     # (-1,-1,-1) needs (-2,-1,-1), which is neither computed nor initial.
     ic = InitialConditions([(0, 0, 0), (-1, -1, -1)], validate=False)
-    for evaluate_origin in (f_symbolic, f_numeric):
+    remainders = laurent.nonzero_remainder_count
+    for evaluate_origin in (f_symbolic, f_numeric, f_via_substitution):
         with pytest.raises(RecursionEscaped) as err:
             evaluate_origin(ic)
         assert err.value.point == (-2, -1, -1)
+    assert laurent.nonzero_remainder_count == remainders
 
 
 def test_abc_mode():
