@@ -52,6 +52,13 @@ def _usage_error(msg: str) -> SystemExit:
     return SystemExit(2)
 
 
+def _bad_cutoff(N: int, ic: lattice.InitialConditions) -> SystemExit:
+    return _usage_error(
+        f"--cutoff {N} is not a cutoff of these initial conditions "
+        f"(the least is {ic.min_cutoff})"
+    )
+
+
 def _load_ics(args, multiple: bool = False) -> list[lattice.InitialConditions]:
     ics = []
     presets = args.preset if multiple else ([args.preset] if args.preset else [])
@@ -94,7 +101,12 @@ def cmd_compute(args) -> int:
 def cmd_enumerate(args) -> int:
     ic = _load_ics(args)[0]
     if args.method == "brute-force":
-        gs = groves.enumerate_bruteforce(ic, N=args.cutoff, cap=args.brute_cap)
+        try:
+            gs = groves.enumerate_bruteforce(ic, N=args.cutoff, cap=args.brute_cap)
+        except lattice.NotACutoff:
+            raise _bad_cutoff(args.cutoff, ic)
+        except groves.TooLarge as exc:
+            raise _usage_error(f"{exc}; raise --brute-cap or use --method local-moves")
     else:
         gs = groves.enumerate_local_moves(ic)
     lines = [json.dumps(groves.grove_to_json(g)) for g in _sorted_groves(gs)]
@@ -132,32 +144,40 @@ def cmd_sequence(args) -> int:
     return 0 if ok else 1
 
 
+def _pick_grove(args, ic: lattice.InitialConditions) -> groves.Grove:
+    if args.grove_file:
+        try:
+            with open(args.grove_file) as fh:
+                return groves.grove_from_json(ic, json.loads(fh.readline()))
+        except (OSError, ValueError) as exc:
+            raise _usage_error(f"bad --grove-file {args.grove_file}: {exc}")
+    gs = _sorted_groves(groves.enumerate_local_moves(ic))
+    if not 0 <= args.grove_index < len(gs):
+        raise _usage_error(f"grove index out of range 0..{len(gs)-1}")
+    return gs[args.grove_index]
+
+
 def cmd_render(args) -> int:
     opts = render.RenderOptions(
         scale=args.scale,
         layers=frozenset(args.layers.split(",")) if args.layers else render.DEFAULT_LAYERS,
         N=args.cutoff,
     )
-    if args.target == "lattice":
-        ic = _load_ics(args)[0]
-        doc = render.render_lattice(ic, opts)
-    else:
-        ic = _load_ics(args)[0]
-        if args.grove_file:
+    ic = _load_ics(args)[0]
+    try:
+        if args.target == "lattice":
+            doc = render.render_lattice(ic, opts)
+        elif args.target == "grove":
+            doc = render.render_grove(_pick_grove(args, ic), opts)
+        else:
+            g = _pick_grove(args, ic)
             try:
-                with open(args.grove_file) as fh:
-                    g = groves.grove_from_json(ic, json.loads(fh.readline()))
-            except (OSError, ValueError) as exc:
-                raise _usage_error(f"bad --grove-file {args.grove_file}: {exc}")
-        else:
-            gs = _sorted_groves(groves.enumerate_local_moves(ic))
-            if not 0 <= args.grove_index < len(gs):
-                raise _usage_error(f"grove index out of range 0..{len(gs)-1}")
-            g = gs[args.grove_index]
-        if args.target == "grove":
-            doc = render.render_grove(g, opts)
-        else:
-            doc = render.render_asm(groves.asm_triangle(g), opts)
+                triangle = groves.asm_triangle(g)
+            except ValueError as exc:
+                raise _usage_error(f"render asm: {exc}")
+            doc = render.render_asm(triangle, opts)
+    except lattice.NotACutoff:
+        raise _bad_cutoff(args.cutoff, ic)
     _emit(doc, args.out)
     return 0
 

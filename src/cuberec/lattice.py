@@ -366,12 +366,22 @@ def from_json(obj: dict) -> InitialConditions:
         return explicit(as_point(p) for p in u_fin)
     kind = obj.get("preset")
     if kind == "standard":
-        return standard(int(obj["n"]))
+        return standard(*_int_fields(obj, "n"))
     if kind == "kleber":
-        return kleber(int(obj["i"]), int(obj["j"]), int(obj["k"]))
+        return kleber(*_int_fields(obj, "i", "j", "k"))
     if kind in ("gale_robinson", "gale-robinson"):
-        return gale_robinson(int(obj["p"]), int(obj["q"]), int(obj["r"]), int(obj["l"]))
+        return gale_robinson(*_int_fields(obj, "p", "q", "r", "l"))
     raise ValueError(f"unrecognized initial-conditions object: {obj!r}")
+
+
+def _int_fields(obj: dict, *names: str) -> list[int]:
+    """The named preset fields; ValueError unless each is an integer
+    (KeyError when one is missing)."""
+    values = [obj[name] for name in names]
+    for name, x in zip(names, values):
+        if type(x) is not int:
+            raise ValueError(f"preset field {name!r} must be an integer, not {x!r}")
+    return values
 
 
 def to_json(ic: InitialConditions) -> dict:

@@ -20,14 +20,28 @@ polynomial is the empty map.  Terms are reported in descending graded
 lexicographic order, the same order used by exact division, so serialization
 is canonical.
 
+Graded lex order is defined once, by ``_Packing``: over the variables of a
+set of terms, each exponent map packs into one int whose fields hold, most
+significant first, the total degree and then each variable's exponent.  Every
+field has a guard bit on top and is wide enough for the largest degree the
+terms reach once shifted to nonnegative exponents, so int order is graded lex
+order and a product of monomials is an int sum.  ``canonical_term_order``
+sorts by these ints; ``div_exact`` divides over them, keeping the remainder
+in a dict keyed by packed monomial with a max-heap of its keys (heap division
+after Monagan and Pearce, "Sparse polynomial division using a heap", 2011).
+
 All values are immutable after construction and every operation is pure.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
+from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from itertools import chain
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 TAG_X, TAG_A, TAG_B, TAG_C, TAG_ALPHA, TAG_BETA, TAG_GAMMA, TAG_T, TAG_Y = range(9)
 
@@ -37,6 +51,8 @@ _TAG_ARITY = (3, 2, 2, 2, 0, 0, 0, 0, 1)
 
 VarKey = tuple
 Exps = tuple  # tuple of (VarKey, int) pairs, sorted by variable, no zeros
+
+_exponent = itemgetter(1)
 
 
 def xvar(i: int, j: int, k: int) -> VarKey:
@@ -318,31 +334,94 @@ class LaurentPoly:
         return f"LaurentPoly({str(self)})"
 
 
+def _lowest_exponents(pairs: Counter, n_terms: int) -> dict[VarKey, int]:
+    """Each variable's least exponent over ``n_terms`` terms, read from the
+    counts of their (variable, exponent) pairs; a term without it counts 0."""
+    low: dict[VarKey, int] = {}
+    seen: dict[VarKey, int] = {}
+    for (v, x), count in pairs.items():
+        seen[v] = seen.get(v, 0) + count
+        if x < low.get(v, x + 1):
+            low[v] = x
+    return {v: x if seen[v] == n_terms else min(x, 0) for v, x in low.items()}
+
+
+class _Packing:
+    """Graded lex monomials over a set of term lists, packed into ints.
+
+    Every list is shifted by its own lowest exponents (``lows``), so that all
+    its exponents are nonnegative.  A shifted term packs into fields of
+    ``width`` bits: the total degree on top, then one field per variable in
+    variable order.  The top bit of each field is a guard bit, and the bits
+    below it hold the largest shifted total degree of any list.  While no
+    total degree exceeds that, no field carries into the next: int order is
+    graded lex order, a product of monomials is the sum of their keys, and a
+    difference of keys has a guard bit set exactly when some field of it went
+    negative.
+    """
+
+    def __init__(self, groups: list[list[Exps]]):
+        pairs = [Counter(chain.from_iterable(keys)) for keys in groups]
+        self.lows = [_lowest_exponents(c, len(keys)) for c, keys in zip(pairs, groups)]
+        degree = max(
+            max(sum(map(_exponent, e)) for e in keys) - sum(low.values())
+            for keys, low in zip(groups, self.lows)
+        )
+        self.variables = sorted(set().union(*self.lows))
+        n = len(self.variables)
+        self.width = degree.bit_length() + 1
+        self.position = {v: self.width * (n - 1 - i) for i, v in enumerate(self.variables)}
+        self.guards = sum(1 << (self.width * i + self.width - 1) for i in range(n + 1))
+        # A variable's unit exponent adds 1 to its own field and to the total.
+        self.weight = {v: (1 << pos) + (1 << self.width * n) for v, pos in self.position.items()}
+        self._pair_keys = {
+            (v, x): x * self.weight[v] for counts in pairs for v, x in counts
+        }
+
+    def key(self, exps: Exps) -> int:
+        """The packed unshifted exponents of a term of one of the lists.
+        Packing is linear, so this is the shifted key plus a constant: it
+        sorts like the shifted keys."""
+        return sum(map(self._pair_keys.__getitem__, exps))
+
+    def shifted(self, terms: dict[Exps, int], group: int) -> dict[int, int]:
+        """The terms of list ``group`` keyed by their shifted packed exponents."""
+        base = sum(x * self.weight[v] for v, x in self.lows[group].items())
+        return {self.key(e) - base: c for e, c in terms.items()}
+
+    def unpacker(self, shift: Mapping[VarKey, int]) -> Callable[[int], Exps]:
+        """The map from a nonnegative packed key to its exponents plus ``shift``."""
+        fields = [(v, pos, shift.get(v, 0)) for v, pos in self.position.items()]
+        mask = (1 << (self.width - 1)) - 1
+
+        def unpack(key: int) -> Exps:
+            return tuple([(v, x) for v, pos, s in fields if (x := ((key >> pos) & mask) + s)])
+
+        return unpack
+
+
 def canonical_term_order(exps_keys: Iterable[Exps]) -> list[Exps]:
     """Sort exponent maps in descending graded lexicographic order."""
     keys = list(exps_keys)
-    varlist = sorted({v for e in keys for v, _ in e})
-    index = {v: i for i, v in enumerate(varlist)}
-    n = len(varlist)
-
-    def key(e: Exps):
-        vec = [0] * n
-        total = 0
-        for v, x in e:
-            vec[index[v]] = x
-            total += x
-        return (total, tuple(vec))
-
-    return sorted(keys, key=key, reverse=True)
+    if not keys:
+        return keys
+    return sorted(keys, key=_Packing([keys]).key, reverse=True)
 
 
 def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     """Exact division: the q with q*d == p.
 
     Both operands are shifted by a monomial so that every variable has minimum
-    exponent zero, then multivariate long division runs under graded lex; the
-    shift is undone on the quotient.  Any nonzero remainder (or coefficient
-    non-divisibility) raises NonzeroRemainder.
+    exponent zero, and their terms are packed as ``_Packing`` describes.  Then
+    heap division runs under graded lex: the remainder is a dict from packed
+    monomial to coefficient, and a max-heap of its keys gives the leading term
+    (a key whose term cancelled stays on the heap and is skipped when popped).
+    The divisor's leading monomial divides the remainder's exactly when their
+    key difference has no guard bit set.  Each quotient term's products with
+    the divisor are int sums of no higher degree than the leading term they
+    cancel, and below it in order, so no field overflows and a popped key
+    never returns.  The shift is undone on the quotient.  Any nonzero
+    remainder (or coefficient non-divisibility) raises NonzeroRemainder.
     """
     global nonzero_remainder_count
     if d.is_zero():
@@ -350,59 +429,41 @@ def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     if p.is_zero():
         return LaurentPoly.zero()
 
-    varlist = sorted({v for e in list(p._terms) + list(d._terms) for v, _ in e})
-    index = {v: i for i, v in enumerate(varlist)}
-    n = len(varlist)
-
-    def densify(poly: LaurentPoly) -> tuple[dict[tuple, int], tuple]:
-        vecs = {}
-        for e, c in poly._terms.items():
-            vec = [0] * n
-            for v, x in e:
-                vec[index[v]] = x
-            vecs[tuple(vec)] = c
-        mins = tuple(min(vec[i] for vec in vecs) for i in range(n))
-        shifted = {tuple(x - m for x, m in zip(vec, mins)): c for vec, c in vecs.items()}
-        return shifted, mins
-
-    P, shift_p = densify(p)
-    D, shift_d = densify(d)
-
-    def grkey(vec: tuple) -> tuple:
-        return (sum(vec), vec)
-
-    lt_d = max(D, key=grkey)
-    c_d = D[lt_d]
-    R = dict(P)
-    Q: dict[tuple, int] = {}
-    while R:
-        lt_r = max(R, key=grkey)
-        c_r = R[lt_r]
-        mono = tuple(a - b for a, b in zip(lt_r, lt_d))
-        if any(m < 0 for m in mono) or c_r % c_d != 0:
+    packing = _Packing([list(p._terms), list(d._terms)])
+    guards = packing.guards
+    R = packing.shifted(p._terms, 0)
+    (lt_d, c_d), *rest = sorted(packing.shifted(d._terms, 1).items(), reverse=True)
+    heap = [-k for k in R]
+    heapq.heapify(heap)
+    Q: dict[int, int] = {}
+    while heap:
+        lt_r = -heapq.heappop(heap)
+        c_r = R.pop(lt_r, 0)
+        if not c_r:
+            continue
+        mono = lt_r - lt_d
+        if mono & guards or c_r % c_d != 0:
             nonzero_remainder_count += 1
             raise NonzeroRemainder(
-                f"dividend is not an exact multiple (stuck at term {lt_r})"
+                "dividend is not an exact multiple (stuck at term "
+                f"{Monomial(c_r, packing.unpacker(packing.lows[0])(lt_r))})"
             )
         cq = c_r // c_d
         Q[mono] = cq
-        for vec, c in D.items():
-            w = tuple(a + b for a, b in zip(mono, vec))
-            s = R.get(w, 0) - cq * c
-            if s:
-                R[w] = s
+        for vec, c in rest:
+            w = mono + vec
+            s = R.get(w)
+            if s is None:
+                R[w] = -cq * c
+                heapq.heappush(heap, -w)
+            elif s != cq * c:
+                R[w] = s - cq * c
             else:
-                R.pop(w, None)
+                del R[w]
 
-    out: dict[Exps, int] = {}
-    for vec, c in Q.items():
-        items = []
-        for i, x in enumerate(vec):
-            e = x + shift_p[i] - shift_d[i]
-            if e:
-                items.append((varlist[i], e))
-        out[tuple(items)] = c
-    return LaurentPoly._raw(out)
+    low_p, low_d = packing.lows
+    unpack = packing.unpacker({v: low_p.get(v, 0) - low_d.get(v, 0) for v in packing.variables})
+    return LaurentPoly._raw({unpack(k): c for k, c in Q.items()})
 
 
 def _split_by_exponent(p: LaurentPoly, v: VarKey) -> dict[int, LaurentPoly]:

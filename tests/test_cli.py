@@ -135,6 +135,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         "no-order.json": json.dumps({"preset": "standard"}),
         "two-coordinate-point.json": json.dumps({"explicit": {"u_fin": [[0, 0]]}}),
         "non-integer-point.json": json.dumps({"explicit": {"u_fin": [[0, 0, "a"]]}}),
+        "list-order.json": json.dumps({"preset": "standard", "n": [1]}),
+        "string-index.json": json.dumps({"preset": "kleber", "i": "x", "j": 2, "k": 2}),
     }
     argvs = [
         ["compute"],
@@ -150,6 +152,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2, argv
+
+
+def test_library_usage_errors_exit_2_with_one_line(tmp_path, capsys):
+    argvs = {
+        "render-asm-kleber": ["render", "asm", "--preset", "kleber:2,2,2"],
+        "render-cutoff-0": ["render", "lattice", "--preset", "standard:3", "--cutoff", "0"],
+        "brute-force-cutoff-0": ["enumerate", "--preset", "standard:3",
+                                 "--method", "brute-force", "--cutoff", "0"],
+        "brute-force-too-large": ["enumerate", "--preset", "standard:4",
+                                  "--method", "brute-force"],
+    }
+    for name, argv in argvs.items():
+        with pytest.raises(SystemExit) as err:
+            cli.main(argv + ["--out", str(tmp_path / name)])
+        assert err.value.code == 2, name
+        message = capsys.readouterr().err
+        assert message.startswith("error: ") and message.count("\n") == 1, name
+        assert not (tmp_path / name).exists(), name
+    assert "--brute-cap" in message
 
 
 def test_render_bad_grove_file_exits_2(tmp_path, capsys):

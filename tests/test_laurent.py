@@ -158,3 +158,100 @@ def test_rename_and_drop():
     assert dropped == v(X) + v(Y)
     # merging renames collect coefficients
     assert laurent.rename_variables(v(X) + v(Y), {X: Y}) == v(Y, coeff=2)
+
+
+def test_div_exact_wide_exponents_many_variables():
+    # Twelve variables with exponents in +-1000: shifted total degrees reach
+    # the tens of thousands, and every packed field must stay apart from its
+    # neighbours.
+    rng = random.Random(444)
+    pool = [xvar(i, -i, 0) for i in range(6)] + [avar(i, 1) for i in range(4)] + [T, ALPHA]
+
+    def wide_poly(n_terms):
+        return LaurentPoly(
+            (rng.choice([-3, -2, -1, 1, 2, 5]),
+             [(var, rng.randint(-1000, 1000)) for var in rng.sample(pool, rng.randint(1, 12))])
+            for _ in range(n_terms)
+        )
+
+    for _ in range(20):
+        q, d = wide_poly(rng.randint(1, 6)), wide_poly(rng.randint(1, 5))
+        assert div_exact(q * d, d) == q
+        assert div_exact(q * d, q) == d
+
+
+def test_div_exact_at_field_width_boundaries():
+    # q*d reaches total degree 2**3, 2**7 and 2**15, where the packed fields
+    # gain a bit; the total degree must not overflow into its guard bit.
+    x, y = v(X), v(Y)
+    for degree in (6, 7, 126, 127, 128, 32766, 32767, 32768):
+        q = v(X, degree - 1) * y + v(Y, degree) - 1
+        d = x - y
+        assert div_exact(q * d, d) == q
+        with pytest.raises(NonzeroRemainder):
+            div_exact(q * d + v(Y, degree + 1), d)
+
+
+def test_div_exact_non_multiples_count_once():
+    x, y = v(X), v(Y)
+    three = LaurentPoly.constant(3)
+    cases = [
+        (y, x + 1),                  # the leading exponents do not divide
+        (2 * x + 2, three),          # the leading coefficients do not divide
+        (x * x + y, x + 1),          # stuck after one quotient term
+    ]
+    for p, d in cases:
+        before = laurent.nonzero_remainder_count
+        with pytest.raises(NonzeroRemainder):
+            div_exact(p, d)
+        assert laurent.nonzero_remainder_count == before + 1, (p, d)
+
+
+def test_canonical_term_order_is_graded_lex():
+    rng = random.Random(555)
+    pool = [X, Y, avar(0, 0), T, ALPHA]
+    index = {var: i for i, var in enumerate(sorted(pool))}
+    for _ in range(50):
+        p = _random_poly(rng, pool, max_terms=8)
+        order = laurent.canonical_term_order(p._terms)
+
+        def grlex(e):
+            vec = [0] * len(pool)
+            for var, x in e:
+                vec[index[var]] = x
+            return (sum(vec), vec)
+
+        assert [grlex(e) for e in order] == sorted(map(grlex, p._terms), reverse=True)
+
+
+def test_div_exact_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(666)
+    pool = [X, Y, avar(0, 0), T]
+    symbols = {var: sympy.Symbol(f"s{i}") for i, var in enumerate(pool)}
+
+    def to_sympy(p):
+        return sum((m.coeff * sympy.Mul(*(symbols[var] ** x for var, x in m.exps))
+                    for m in p.terms()), sympy.Integer(0))
+
+    checked = multiples = 0
+    while checked < 60:
+        d = _random_poly(rng, pool)
+        if d.is_zero():
+            continue
+        p = _random_poly(rng, pool) * d if checked % 2 else _random_poly(rng, pool)
+        # p/d is a Laurent polynomial over the integers exactly when its
+        # reduced denominator is a monomial and its expansion has integer
+        # coefficients.
+        num, den = sympy.fraction(sympy.cancel(to_sympy(p) / to_sympy(d)))
+        quotient = sympy.expand(num / den)
+        if len(sympy.Add.make_args(sympy.expand(den))) == 1 and all(
+            c.is_integer for c in quotient.as_coefficients_dict().values()
+        ):
+            assert sympy.expand(to_sympy(div_exact(p, d)) - quotient) == 0, (p, d)
+            multiples += 1
+        else:
+            with pytest.raises(NonzeroRemainder):
+                div_exact(p, d)
+        checked += 1
+    assert 30 <= multiples < checked

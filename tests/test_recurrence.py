@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_ic
-from cuberec import lattice, laurent
+from cuberec import groves, lattice, laurent
 from cuberec.laurent import (
     ALPHA,
     BETA,
@@ -64,6 +64,14 @@ def test_substitution_evaluator_matches():
     assert f_via_substitution(ONE_STEP) == ONE_STEP_POLY
     for ic in (lattice.standard(3), lattice.standard(4), lattice.kleber(2, 2, 2)):
         assert f_via_substitution(ic) == f_symbolic(ic)
+
+
+def test_symbolic_matches_grove_sum_on_kleber_233():
+    # 1165 groves; long divisions at every point make it a division stress test.
+    ic = lattice.kleber(2, 3, 3)
+    poly = f_symbolic(ic)
+    assert len(poly) == 1165
+    assert poly == groves.grove_sum(groves.enumerate_local_moves(ic))
 
 
 def test_substitution_evaluator_matches_random():
