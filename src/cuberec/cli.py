@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import groves, lattice, laurent, recurrence, render, sequences
 
@@ -115,12 +116,17 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_sequence(args) -> int:
+    if len(args.gr) != 3:
+        raise _usage_error(f"--gr takes three values P,Q,R, not {len(args.gr)}")
     p, q, r = args.gr
-    spec = sequences.GaleRobinsonSpec(
-        p, q, r,
-        alpha=Fraction(args.alpha), beta=Fraction(args.beta), gamma=Fraction(args.gamma),
-    )
-    terms = sequences.gr_terms(spec, args.count)
+    try:
+        spec = sequences.GaleRobinsonSpec(
+            p, q, r,
+            alpha=Fraction(args.alpha), beta=Fraction(args.beta), gamma=Fraction(args.gamma),
+        )
+        terms = sequences.gr_terms(spec, args.count)
+    except ValueError as exc:
+        raise _usage_error(f"sequence: {exc}")
     report = {
         "p": p, "q": q, "r": r,
         "terms": [
@@ -131,7 +137,10 @@ def cmd_sequence(args) -> int:
     if args.certify_up_to is not None:
         certs = []
         for l in range(args.certify_up_to + 1):
-            cert = sequences.gr_certificate(spec, l)
+            try:
+                cert = sequences.gr_certificate(spec, l)
+            except groves.TooLarge as exc:
+                raise _usage_error(f"--certify-up-to {args.certify_up_to}: {exc}")
             ok = ok and cert.count_match
             certs.append({
                 "l": cert.l,
@@ -158,11 +167,14 @@ def _pick_grove(args, ic: lattice.InitialConditions) -> groves.Grove:
 
 
 def cmd_render(args) -> int:
-    opts = render.RenderOptions(
-        scale=args.scale,
-        layers=frozenset(args.layers.split(",")) if args.layers else render.DEFAULT_LAYERS,
-        N=args.cutoff,
-    )
+    try:
+        opts = render.RenderOptions(
+            scale=args.scale,
+            layers=frozenset(args.layers.split(",")) if args.layers else render.DEFAULT_LAYERS,
+            N=args.cutoff,
+        )
+    except ValueError as exc:
+        raise _usage_error(f"render: {exc}")
     ic = _load_ics(args)[0]
     try:
         if args.target == "lattice":
@@ -184,6 +196,13 @@ def cmd_render(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify
+#
+# A property returns None when it found no counterexample, a witness string
+# when it found one, or Skipped when it could not run.
+
+class Skipped(NamedTuple):
+    reason: str
+
 
 def _prop_main_theorem(ic, ctx):
     f_sym = ctx["f_sym"]
@@ -199,8 +218,8 @@ def _prop_main_theorem(ic, ctx):
 def _prop_oracle(ic, ctx):
     try:
         brute = groves.enumerate_bruteforce(ic, cap=ctx["brute_cap"])
-    except groves.TooLarge:
-        return None  # window too large for the oracle; nothing to compare
+    except groves.TooLarge as exc:
+        return Skipped(f"{exc} (--brute-cap)")
     mine = {g.long_edges for g in ctx["groves"]}
     theirs = {g.long_edges for g in brute}
     if mine != theirs:
@@ -347,14 +366,20 @@ def cmd_verify(args) -> int:
     for ic in _load_ics(args, multiple=True):
         ctx = _VerifyContext(ic, args.brute_cap)
         for name in props:
-            witness = PROPERTIES[name](ic, ctx)
+            outcome = PROPERTIES[name](ic, ctx)
+            skipped = isinstance(outcome, Skipped)
+            witness = None if skipped else outcome
             ok = ok and witness is None
-            results.append({
+            result = {
                 "property": name,
                 "ic": lattice.to_json(ic),
+                "status": "skipped" if skipped else "pass" if witness is None else "fail",
                 "pass": witness is None,
                 "witness": witness,
-            })
+            }
+            if skipped:
+                result["reason"] = outcome.reason
+            results.append(result)
     _emit(json.dumps({"pass": ok, "results": results}, indent=2) + "\n", args.out)
     return 0 if ok else 1
 

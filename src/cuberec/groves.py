@@ -248,9 +248,9 @@ def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
     return None
 
 
-def is_acyclic(g: Grove, N: int | None = None) -> bool:
-    """Cycle detection on the window graph; the forced chains outside are paths."""
-    return _window_forest(g, g.ic.min_cutoff if N is None else N)[2]
+def is_acyclic(g: Grove) -> bool:
+    """Cycle detection on the minimal window graph; the forced chains outside are paths."""
+    return _window_forest(g, g.ic.min_cutoff)[2]
 
 
 def grove_degrees(g: Grove) -> dict[Point3, int]:
@@ -353,7 +353,7 @@ def enumerate_bruteforce(
         raise NotACutoff(str(N))
     points, index, rhombi = _window(ic, N)
     if len(rhombi) > cap:
-        raise TooLarge(f"{len(rhombi)} free rhombi exceeds cap {cap}")
+        raise TooLarge(f"{len(rhombi)} free rhombi exceed cap {cap}")
 
     classes = boundary_classes(N)
     class_of = [-1] * len(points)

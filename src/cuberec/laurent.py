@@ -110,10 +110,6 @@ class NonzeroRemainder(ArithmeticError):
     """Exact division left a remainder; the dividend is not a multiple."""
 
 
-class MissingInverse(ValueError):
-    """Substitution hit a negative exponent without a usable inverse."""
-
-
 class UnassignedVariable(KeyError):
     pass
 
@@ -466,8 +462,18 @@ def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._raw({unpack(k): c for k, c in Q.items()})
 
 
-def _split_by_exponent(p: LaurentPoly, v: VarKey) -> dict[int, LaurentPoly]:
-    """Write p as the sum of part * v**e; map each e to its part, free of v."""
+def substitute(p: LaurentPoly, v: VarKey, value: "LaurentPoly | int") -> LaurentPoly:
+    """Replace every occurrence of ``v`` in ``p`` by ``value``, any Laurent polynomial.
+
+    With p the sum of part_e * v**e over the exponents e of v, the result is
+    the sum of part_e * value**e.  Negative exponents are cleared by
+    multiplying through by value**shift, where -shift is the least e, and
+    divided out once at the end with div_exact.  A result that is not a
+    Laurent polynomial raises NonzeroRemainder; a zero value under a negative
+    exponent raises DivisionByZero.
+    """
+    if isinstance(value, int):
+        value = LaurentPoly.constant(value)
     groups: dict[int, dict[Exps, int]] = {}
     for e, c in p._terms.items():
         exp = 0
@@ -478,40 +484,14 @@ def _split_by_exponent(p: LaurentPoly, v: VarKey) -> dict[int, LaurentPoly]:
             else:
                 rest.append((var, x))
         groups.setdefault(exp, {})[tuple(rest)] = c
-    return {exp: LaurentPoly._raw(data) for exp, data in groups.items()}
-
-
-def substitute(
-    p: LaurentPoly,
-    v: VarKey,
-    value: "LaurentPoly | int",
-    inverse_value: "LaurentPoly | None" = None,
-) -> LaurentPoly:
-    """Replace every occurrence of ``v`` in ``p`` by ``value``.
-
-    Negative exponents of ``v`` are only accepted when ``inverse_value`` is a
-    monomial with value*inverse_value == 1; callers needing a polynomial
-    inverse should assemble a numerator and use div_exact instead.
-    """
-    if isinstance(value, int):
-        value = LaurentPoly.constant(value)
-    groups = _split_by_exponent(p, v)
-
-    if any(exp < 0 for exp in groups):
-        if inverse_value is None:
-            raise MissingInverse(f"{var_name(v)} occurs with a negative exponent")
-        if len(inverse_value) != 1 or value * inverse_value != LaurentPoly.one():
-            raise MissingInverse("inverse_value must be a monomial inverse of value")
-
-    result = LaurentPoly.zero()
-    for exp, part in sorted(groups.items()):
-        if exp == 0:
-            result = result + part
-        elif exp > 0:
-            result = result + part * value**exp
-        else:
-            result = result + part * inverse_value ** (-exp)
-    return result
+    shift = max(0, -min(groups, default=0))
+    # One summand per exponent of v, a handful, so summing them copies each
+    # term a bounded number of times.
+    assembled = sum(
+        (LaurentPoly._raw(part) * value ** (e + shift) for e, part in groups.items()),
+        LaurentPoly.zero(),
+    )
+    return div_exact(assembled, value**shift) if shift else assembled
 
 
 def evaluate(p: LaurentPoly, assign: Mapping[VarKey, "Fraction | int"]) -> Fraction:
@@ -536,30 +516,15 @@ def evaluate(p: LaurentPoly, assign: Mapping[VarKey, "Fraction | int"]) -> Fract
 
 def rename_variables(p: LaurentPoly, mapping: Mapping[VarKey, VarKey]) -> LaurentPoly:
     """Rename variables (possibly merging several into one), collecting terms."""
-    out: dict[Exps, int] = {}
-    for e, c in p._terms.items():
-        items = [(mapping.get(v, v), x) for v, x in e]
-        key = exps_from_items(items)
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return LaurentPoly._raw(out)
+    return LaurentPoly((c, [(mapping.get(v, v), x) for v, x in e]) for e, c in p._terms.items())
 
 
 def drop_variables(p: LaurentPoly, tags: Iterable[int]) -> LaurentPoly:
     """Erase all variables with the given tags (set them to 1), collecting terms."""
     tagset = frozenset(tags)
-    out: dict[Exps, int] = {}
-    for e, c in p._terms.items():
-        key = tuple((v, x) for v, x in e if v[0] not in tagset)
-        s = out.get(key, 0) + c
-        if s:
-            out[key] = s
-        else:
-            out.pop(key, None)
-    return LaurentPoly._raw(out)
+    return LaurentPoly(
+        (c, [(v, x) for v, x in e if v[0] not in tagset]) for e, c in p._terms.items()
+    )
 
 
 def to_json(p: LaurentPoly) -> dict:

@@ -22,13 +22,16 @@ where the coefficient system depends on the mode:
 Three evaluators are provided.  f_symbolic and f_numeric share one walk up
 the peel sequence (_walk), over Laurent polynomials with exact division and
 over rationals respectively; only the ring differs.  f_via_substitution is
-kept independent of that walk: it starts from the trivial ideal and applies
-the point-replacement substitution along the reversed peel sequence, so it
-checks f_symbolic.  f_numeric is checked independently by the
-one-dimensional Gale-Robinson recursion in ``sequences`` and by evaluating
-f_symbolic's polynomial.  The two-term specialization is checked against its
-own index-transformed recurrence (_g_transform_poly), which also stays off
-the walk.
+kept independent of that walk, so it checks f_symbolic: it starts from the
+trivial ideal and, along the reversed peel sequence, replaces each restored
+point's variable by its recurrence step, the three-term numerator over the
+diagonal predecessor's variable, with one ``laurent.substitute``.  By the
+Laurent phenomenon every intermediate result is a Laurent polynomial, so the
+exact division inside each substitution never leaves a remainder.  f_numeric
+is checked independently by the one-dimensional Gale-Robinson recursion in
+``sequences`` and by evaluating f_symbolic's polynomial.  The two-term
+specialization is checked against its own index-transformed recurrence
+(_g_transform_poly), which also stays off the walk.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ from .laurent import (
     bvar,
     cvar,
     div_exact,
-    _split_by_exponent,
     xvar,
 )
 from .lattice import InitialConditions, Point3
@@ -176,8 +178,8 @@ def f_via_substitution(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPol
 
     Starts from the single variable at the origin (the fully peeled ideal) and,
     for each restored point, replaces that point's variable by the recurrence
-    step; negative exponents are cleared by assembling a numerator and calling
-    div_exact.
+    step, a Laurent polynomial over the diagonal predecessor's variable, with
+    ``laurent.substitute``.
     """
     if mode == MODE_ABC:
         return abc_from_edge_vars(f_via_substitution(ic, MODE_EDGE_VARS))
@@ -197,27 +199,9 @@ def f_via_substitution(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPol
                 numerator = numerator + coeff * LaurentPoly.monomial(
                     1, [(checked_xvar(p1), 1), (checked_xvar(p2), 1)]
                 )
-        poly = _substitute_ratio(poly, xvar(*w), numerator, checked_xvar(d))
+        step = numerator * LaurentPoly.variable(checked_xvar(d), -1)
+        poly = laurent.substitute(poly, xvar(*w), step)
     return poly
-
-
-def _substitute_ratio(
-    poly: LaurentPoly, v: VarKey, numerator: LaurentPoly, denom_var: VarKey
-) -> LaurentPoly:
-    # Replace v by numerator / denom_var.  Negative powers of v are cleared by
-    # multiplying through by numerator**shift and divided out once at the end.
-    # The summands are one whole polynomial per exponent of v, a handful, so
-    # summing them copies each term a bounded number of times.
-    groups = _split_by_exponent(poly, v)
-    shift = max(0, -min(groups, default=0))
-    assembled = sum(
-        (
-            part * numerator ** (e + shift) * LaurentPoly.variable(denom_var, -e)
-            for e, part in groups.items()
-        ),
-        LaurentPoly.zero(),
-    )
-    return div_exact(assembled, numerator**shift) if shift else assembled
 
 
 def abc_from_edge_vars(p: LaurentPoly) -> LaurentPoly:
@@ -257,24 +241,20 @@ def f_numeric(
     ic: InitialConditions,
     assign: Mapping[VarKey, Fraction | int] | None = None,
     mode=MODE_EDGE_VARS,
-    default: Fraction | int | None = None,
 ) -> Fraction:
     """Exact rational value at the origin, without symbolic expansion.
 
     With no assignment every variable is 1 (the grove count in edge-vars
-    mode).  A partial assignment may supply ``default`` for missing keys.
+    mode); otherwise every variable read must be assigned.
     """
-    if assign is None and default is None:
-        default = 1
-    assign = assign or {}
     if mode == MODE_ALL_ONES:
-        mode = MODE_EDGE_VARS  # the ones come from the assignment or ``default``
+        mode = MODE_EDGE_VARS  # the ones come from ``assign`` being None
 
     def lookup(v: VarKey) -> Fraction:
+        if assign is None:
+            return Fraction(1)
         if v in assign:
             return Fraction(assign[v])
-        if default is not None:
-            return Fraction(default)
         raise laurent.UnassignedVariable(laurent.var_name(v))
 
     def weight(v: VarKey, exp: int = 1, coeff: int = 1) -> Fraction:

@@ -9,8 +9,9 @@ A (p,q,r) specification defines the order-n recurrence, n = p+q+r:
 Somos-6 is (1,2,3) and Somos-7 is (4,1,2), both with unit coefficients.
 Terms are computed by exact rational recursion; the certificate for a term
 independently enumerates the groves of the matching initial conditions and
-compares the count, and optionally compares the full Laurent expansion of the
-term against the renamed cube-recurrence polynomial.
+compares the count.  The term's full Laurent expansion (gr_symbolic) is the
+independent reference for the renamed cube-recurrence polynomial
+(gr_renamed_cube_poly).
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ def gr_terms(
     terms = [Fraction(v) for v in (initial if initial is not None else [1] * n)]
     if len(terms) != n:
         raise ValueError(f"need exactly {n} initial terms")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, not {count}")
     coeffs = (spec.alpha, spec.beta, spec.gamma)
     return _gr_extend(spec, terms, coeffs, count, operator.truediv)
 
@@ -124,23 +127,19 @@ class GrCertificate:
     recursion_value: Fraction
     grove_count: int
     count_match: bool
-    symbolic_match: bool | None
 
 
 def gr_certificate(
     spec: GaleRobinsonSpec,
     l: int | None = None,
     max_groves: int = 200_000,
-    symbolic: bool = False,
 ) -> GrCertificate:
     """Certify term y_l: grove count equals the recursion value.
 
     The counting side always uses the all-ones specialization (unit
-    coefficients and unit initial terms), which is where terms count groves;
-    ``spec.alpha`` etc. only matter for the symbolic comparison.  The expected
-    size is pre-computed numerically; enumeration beyond ``max_groves`` raises
-    TooLarge.  With ``symbolic`` the full Laurent expansion is compared
-    against the one-dimensional recursion as well.
+    coefficients and unit initial terms), which is where terms count groves,
+    so ``spec.alpha`` etc. play no part.  The expected size is pre-computed
+    numerically; enumeration beyond ``max_groves`` raises TooLarge.
     """
     l = spec.l if l is None else l
     value = gr_terms(GaleRobinsonSpec(spec.p, spec.q, spec.r), l + 1)[l]
@@ -151,15 +150,11 @@ def gr_certificate(
             f"term y_{l} counts {expected} groves, above the {max_groves} bound"
         )
     count = len(groves.enumerate_local_moves(ic))
-    sym = None
-    if symbolic:
-        sym = gr_renamed_cube_poly(spec, l) == gr_symbolic(spec, l)
     return GrCertificate(
         l=l,
         recursion_value=value,
         grove_count=count,
         count_match=(value == count),
-        symbolic_match=sym,
     )
 
 

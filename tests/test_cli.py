@@ -72,6 +72,16 @@ def test_verify_multiple_presets(capsys):
     assert code == 0 and len(report["results"]) == 4
 
 
+def test_verify_reports_oracle_skip(capsys):
+    code, out = run(capsys, "verify", "--preset", "standard:4", "--props", "oracle")
+    (result,) = json.loads(out)["results"]
+    assert code == 0 and result["status"] == "skipped"
+    assert "--brute-cap" in result["reason"] and result["witness"] is None
+    code, out = run(capsys, "verify", "--preset", "standard:2", "--props", "oracle")
+    (result,) = json.loads(out)["results"]
+    assert code == 0 and result["status"] == "pass" and "reason" not in result
+
+
 def test_verify_builds_only_what_the_properties_read(monkeypatch, capsys):
     def unneeded(*args, **kwargs):
         raise AssertionError("rhombcount reads neither the polynomial nor the groves")
@@ -160,6 +170,14 @@ def test_library_usage_errors_exit_2_with_one_line(tmp_path, capsys):
         "render-cutoff-0": ["render", "lattice", "--preset", "standard:3", "--cutoff", "0"],
         "brute-force-cutoff-0": ["enumerate", "--preset", "standard:3",
                                  "--method", "brute-force", "--cutoff", "0"],
+        "gr-two-values": ["sequence", "--gr", "1,2"],
+        "gr-not-positive": ["sequence", "--gr", "0,1,2"],
+        "negative-count": ["sequence", "--gr", "1,1,1", "--count", "-3"],
+        "certificate-too-large": ["sequence", "--gr", "1,1,1", "--count", "3",
+                                  "--certify-up-to", "8"],
+        "render-scale-0": ["render", "lattice", "--preset", "standard:3", "--scale", "0"],
+        "render-unknown-layer": ["render", "lattice", "--preset", "standard:3",
+                                 "--layers", "foo"],
         "brute-force-too-large": ["enumerate", "--preset", "standard:4",
                                   "--method", "brute-force"],
     }

@@ -10,7 +10,6 @@ from cuberec.laurent import (
     ALPHA,
     T,
     LaurentPoly,
-    MissingInverse,
     NonzeroRemainder,
     UnassignedVariable,
     ZeroToNegativePower,
@@ -65,12 +64,40 @@ def test_div_exact_by_pure_monomials():
 
 def test_substitute_examples():
     assert substitute(v(X) * v(Y), X, LaurentPoly.constant(3)) == v(Y, coeff=3)
-    assert substitute(v(X, -1), X, v(T, 2), v(T, -2)) == v(T, -2)
-    with pytest.raises(MissingInverse):
+    assert substitute(v(X, -1), X, v(T, 2)) == v(T, -2)
+    with pytest.raises(NonzeroRemainder):
         substitute(v(X) + v(X, -1), X, v(Y) + 1)
-    with pytest.raises(MissingInverse):
-        # wrong inverse supplied
-        substitute(v(X, -1), X, v(T, 2), v(T, -1))
+
+
+def test_substitute_by_laurent_polynomials():
+    # value = unit monomial * P.  A part under v**-e is a multiple of P**e, so
+    # the result is a Laurent polynomial and must agree with p at rational
+    # points.  (A coefficient other than +-1 would leave fractions.)
+    rng = random.Random(5)
+    Z = avar(0, 0)
+    for _ in range(30):
+        P = _random_poly(rng, [Y, Z, ALPHA])
+        if not P:
+            continue
+        value = LaurentPoly.monomial(rng.choice([-1, 1]), [(Y, rng.randint(-2, 2))]) * P
+        p = sum(
+            (_random_poly(rng, [Y, Z, T]) * P ** max(0, -e) * v(X, e) for e in range(-2, 3)),
+            LaurentPoly.zero(),
+        )
+        result = substitute(p, X, value)
+        assert X not in result.variables()
+        for _ in range(3):
+            a = {var: Fraction(rng.randint(1, 7), rng.randint(1, 5)) for var in (Y, Z, T, ALPHA)}
+            at_value = evaluate(value, a)
+            if at_value == 0:
+                continue
+            assert evaluate(result, a) == evaluate(p, a | {X: at_value})
+
+
+def test_substitute_zero_under_negative_power():
+    assert substitute(v(X, 2) + v(Y), X, 0) == v(Y)
+    with pytest.raises(laurent.DivisionByZero):
+        substitute(v(X, -1) + v(Y), X, 0)
 
 
 def test_evaluate_examples():

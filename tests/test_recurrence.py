@@ -119,8 +119,9 @@ def test_numeric_matches_symbolic_on_random_assignments():
 
 
 def test_numeric_division_by_zero_reports_point():
+    assign = {v: 1 for v in ONE_STEP_POLY.variables()} | {xvar(-1, -1, -1): 0}
     with pytest.raises(DivisionByZeroDuringRecursion) as err:
-        f_numeric(ONE_STEP, {xvar(-1, -1, -1): 0}, default=1)
+        f_numeric(ONE_STEP, assign)
     assert err.value.point == (-1, -1, -1)
 
 
