@@ -100,6 +100,8 @@ def cmd_compute(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.cutoff is not None and args.method != "brute-force":
+        raise _usage_error("--cutoff applies only to --method brute-force")
     ic = _load_ics(args)[0]
     if args.method == "brute-force":
         try:
@@ -118,6 +120,8 @@ def cmd_enumerate(args) -> int:
 def cmd_sequence(args) -> int:
     if len(args.gr) != 3:
         raise _usage_error(f"--gr takes three values P,Q,R, not {len(args.gr)}")
+    if args.certify_up_to is not None and args.certify_up_to < 0:
+        raise _usage_error("--certify-up-to must be >= 0")
     p, q, r = args.gr
     try:
         spec = sequences.GaleRobinsonSpec(
@@ -125,7 +129,7 @@ def cmd_sequence(args) -> int:
             alpha=Fraction(args.alpha), beta=Fraction(args.beta), gamma=Fraction(args.gamma),
         )
         terms = sequences.gr_terms(spec, args.count)
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise _usage_error(f"sequence: {exc}")
     report = {
         "p": p, "q": q, "r": r,

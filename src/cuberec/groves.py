@@ -11,6 +11,9 @@ Verification works on the finite window of radius N: the window has
 edge (the one rule _window_edges, behind every view of the window), and a
 choice of edges extends to a grove exactly when the resulting graph is a
 forest whose components pair up one-to-one with the 3N+7 boundary classes.
+What all groves of one ideal share at one radius is built once (_window).
+A long edge in place of a short one moves four vertex degrees by one, so a
+grove's degree table is the base grove's plus one fixed delta per long edge.
 
 Enumeration comes in two independent flavours:
 
@@ -33,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .laurent import (
     TAG_A,
@@ -45,13 +48,15 @@ from .laurent import (
     xvar,
 )
 from .lattice import (
+    _AXIS,
+    _UNIT,
     AXES,
     CutoffNotOdd,
     InitialConditions,
     NoSuchRhombus,
-    NotACutoff,
     Point3,
     Rhombus,
+    _sub,
     as_point,
     standard,
 )
@@ -124,19 +129,13 @@ class Grove:
     def _degrees(self) -> dict[Point3, int]:
         """The window degree table, built on first use; shared, never mutate.
 
-        Rhombi below the window are forced to their short edge, which meets
-        the window only at the rhombus top, so tops at depth -N-1 and -N-2
-        pick up one forced increment each.
+        The base grove's table plus the deltas of the long edges on window rhombi.
         """
-        ic = self.ic
-        N = ic.min_cutoff
-        deg = dict.fromkeys(ic.points_in_J(N), 0)
-        for u, v in _window_edges(self, ic.rhombi_in_J(N)):
-            deg[u] += 1
-            deg[v] += 1
-        for r in ic.rhombi_touching_J(N):
-            if sum(r.top) < -N:
-                deg[r.top] += 1
+        window = _window(self.ic, self.ic.min_cutoff)
+        deg = dict(window.degrees)
+        for r in self.long_edges:
+            for p, d in window.deltas.get(r, ()):
+                deg[p] += d
         return deg
 
 
@@ -192,11 +191,37 @@ def boundary_classes(N: int) -> list[tuple[Point3, ...]]:
     return sorted(classes)
 
 
-def _window(ic: InitialConditions, N: int):
-    points = ic.points_in_J(N)
-    index = {p: t for t, p in enumerate(points)}
-    rhombi = ic.rhombi_in_J(N)
-    return points, index, rhombi
+class _Window(NamedTuple):
+    """What every grove of one ideal shares at radius N; never mutate."""
+
+    index: dict[Point3, int]  # the window points, sorted, to 0..n-1
+    rhombi: tuple[Rhombus, ...]
+    classes: list[tuple[Point3, ...]]
+    degrees: dict[Point3, int]  # the base grove's, which uses every short edge
+    deltas: dict[Rhombus, tuple]  # (point, change) pairs of each window long edge
+
+
+def _window(ic: InitialConditions, N: int) -> _Window:
+    """The radius-N window of ic, built once per (ic, N); NotACutoff unless N is one."""
+
+    def build():
+        points = ic.points_in_J(N)
+        rhombi = ic.rhombi_in_J(N)
+        # Every short edge adds 1 at its ends inside the window; that covers
+        # the forced short edges below it, which meet it only at their tops.
+        degrees = dict.fromkeys(points, 0)
+        for r in ic.rhombi_touching_J(N):
+            for p in r.short_edge():
+                if p in degrees:
+                    degrees[p] += 1
+        deltas = {
+            r: tuple((p, 1) for p in r.long_edge()) + tuple((p, -1) for p in r.short_edge())
+            for r in rhombi
+        }
+        index = {p: t for t, p in enumerate(points)}
+        return _Window(index, rhombi, boundary_classes(N), degrees, deltas)
+
+    return ic.memo(("window", N), build)
 
 
 def _window_edges(g: Grove, rhombi: Iterable[Rhombus]) -> Iterator[tuple[Point3, Point3]]:
@@ -206,31 +231,27 @@ def _window_edges(g: Grove, rhombi: Iterable[Rhombus]) -> Iterator[tuple[Point3,
         yield r.long_edge() if r in longs else r.short_edge()
 
 
-def _window_forest(g: Grove, N: int):
-    """Union g's window edges; the third value is False once a union closed a cycle."""
-    points, index, rhombi = _window(g.ic, N)
-    dsu = _DisjointSet(len(points))
-    acyclic = True
-    for u, v in _window_edges(g, rhombi):
-        if not dsu.union(index[u], index[v]):
-            acyclic = False
-    return dsu, index, acyclic
+def _window_forest(g: Grove, window: _Window):
+    """Union g's window edges; the second value is False when a union closed a cycle."""
+    index = window.index
+    dsu = _DisjointSet(len(index))
+    merged = sum(dsu.union(index[u], index[v]) for u, v in _window_edges(g, window.rhombi))
+    return dsu, merged == len(window.rhombi)
 
 
 def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
     """Verify compactness and connectivity within radius N; None means valid."""
     ic = g.ic
     N = ic.min_cutoff if N is None else N
-    if not ic.is_cutoff(N):
-        raise NotACutoff(str(N))
+    window = _window(ic, N)
     for r in g.long_edges:
         if sum(r.top) < -N:
             return GroveViolation("compactness", f"long edge of deep rhombus {r}")
 
-    dsu, index, _ = _window_forest(g, N)
-    classes = boundary_classes(N)
+    dsu, _ = _window_forest(g, window)
+    index = window.index
     owner: dict[int, tuple] = {}
-    for cls in classes:
+    for cls in window.classes:
         roots = {dsu.find(index[p]) for p in cls}
         if len(roots) > 1:
             return GroveViolation("class-split", f"class {cls} spans several components")
@@ -250,7 +271,7 @@ def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
 
 def is_acyclic(g: Grove) -> bool:
     """Cycle detection on the minimal window graph; the forced chains outside are paths."""
-    return _window_forest(g, g.ic.min_cutoff)[2]
+    return _window_forest(g, _window(g.ic, g.ic.min_cutoff))[1]
 
 
 def grove_degrees(g: Grove) -> dict[Point3, int]:
@@ -300,28 +321,24 @@ def coeffone_sums(g: Grove, r: Rhombus) -> int:
 
     Equals -1 exactly when the long edge of r appears in the grove, else 0.
     """
-    x, y = {"a": (1, 2), "b": (0, 2), "c": (0, 1)}[r.axis]
+    _, x, y = _AXIS[r.axis]
     tx, ty = r.top[x], r.top[y]
     return sum(d - 2 for p, d in g._degrees.items() if p[x] < tx and p[y] < ty)
 
 
 def _local_step(u: Point3, configs: set[frozenset]) -> set[frozenset]:
     """Apply the three-rhombus correspondence at the restored point u."""
-    i, j, k = u
-    old = {axis: Rhombus(axis, u) for axis in "abc"}
-    new = {
-        "a": Rhombus("a", (i - 1, j, k)),
-        "b": Rhombus("b", (i, j - 1, k)),
-        "c": Rhombus("c", (i, j, k - 1)),
-    }
+    old_set = frozenset(Rhombus(axis, u) for axis in AXES)
+    # A long edge moves one step down its axis's free coordinate, which keeps
+    # its edge variable.
+    new = {axis: Rhombus(axis, _sub(u, _UNIT[t])) for axis, (t, _, _) in _AXIS.items()}
     out: set[frozenset] = set()
-    old_set = frozenset(old.values())
     for cfg in configs:
         present = sorted(r.axis for r in cfg & old_set)
         rest = cfg - old_set
         if len(present) == 0:
-            for short_axis in "abc":
-                out.add(rest | {new[ax] for ax in "abc" if ax != short_axis})
+            for short_axis in AXES:
+                out.add(rest | {new[ax] for ax in AXES if ax != short_axis})
         elif len(present) == 1:
             out.add(rest | {new[present[0]]})
         elif len(present) == 2:
@@ -349,14 +366,11 @@ def enumerate_bruteforce(
     class stays connected.  Both conditions prune the search.
     """
     N = ic.min_cutoff if N is None else N
-    if not ic.is_cutoff(N):
-        raise NotACutoff(str(N))
-    points, index, rhombi = _window(ic, N)
+    index, rhombi, classes, _, _ = _window(ic, N)
     if len(rhombi) > cap:
         raise TooLarge(f"{len(rhombi)} free rhombi exceed cap {cap}")
 
-    classes = boundary_classes(N)
-    class_of = [-1] * len(points)
+    class_of = [-1] * len(index)
     for ci, cls in enumerate(classes):
         for p in cls:
             class_of[index[p]] = ci
@@ -367,7 +381,7 @@ def enumerate_bruteforce(
         su, sv = r.short_edge()
         edges.append(((index[lu], index[lv]), (index[su], index[sv])))
 
-    dsu = _DisjointSet(len(points), keep_log=True)
+    dsu = _DisjointSet(len(index), keep_log=True)
     comp_class = class_of[:]  # class owned by each root's component, -1 if none
     found: list[frozenset] = []
     chosen: list[Rhombus] = []
@@ -420,8 +434,6 @@ def to_simplified(g: Grove, N: int | None = None) -> SimplifiedGrove:
     """The induced subgraph on even vertices within radius N (N odd)."""
     ic = g.ic
     N = ic.min_odd_cutoff if N is None else N
-    if not ic.is_cutoff(N):
-        raise NotACutoff(str(N))
     if N % 2 == 0:
         raise CutoffNotOdd(str(N))
     # Both ends of an edge share the parity of their coordinate sum.
@@ -432,8 +444,6 @@ def to_simplified(g: Grove, N: int | None = None) -> SimplifiedGrove:
 def from_simplified(s: SimplifiedGrove) -> Grove:
     """Reconstruct the unique grove inducing a simplified grove."""
     ic = s.ic
-    if not ic.is_cutoff(s.N):
-        raise NotACutoff(str(s.N))
     if s.N % 2 == 0:
         raise CutoffNotOdd(str(s.N))
     # Long edges join the two sum s-1 vertices, short edges the sums s and
@@ -455,12 +465,11 @@ def simplified_vertices(s: SimplifiedGrove) -> tuple[Point3, ...]:
 
 
 def simplified_components(s: SimplifiedGrove) -> int:
-    points = simplified_vertices(s)
-    index = {p: t for t, p in enumerate(points)}
-    dsu = _DisjointSet(len(points))
+    index = _window(s.ic, s.N).index
+    dsu = _DisjointSet(len(index))
     for u, v in s.edges:
         dsu.union(index[u], index[v])
-    return len({dsu.find(t) for t in range(len(points))})
+    return len({dsu.find(index[p]) for p in simplified_vertices(s)})
 
 
 def asm_triangle(g: Grove) -> list[list[int]]:

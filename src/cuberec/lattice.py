@@ -13,7 +13,10 @@ upward closed within the cone.  A cutoff N bounds the region where the
 initial points deviate from the coordinate-wall pattern; the minimal cutoff
 is max(0, 1 - min coordinate sum over u_fin).
 
-Rhombi come in three axes.  For a top vertex (i,j,k):
+Rhombi come in three axes by one rule: axis t of AXES is free in coordinate
+t.  Its rhombus steps down from the top vertex along the other two
+coordinates, and its edge variable has tag TAG_A + t, indexed by the top's
+coordinates there; moving the top along t keeps it.  For a top (i,j,k):
 
     axis a: {(i,j,k), (i,j-1,k), (i,j,k-1), (i,j-1,k-1)}   variable a(j,k)
     axis b: {(i,j,k), (i-1,j,k), (i,j,k-1), (i-1,j,k-1)}   variable b(i,k)
@@ -31,7 +34,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, NamedTuple
 
-from .laurent import VarKey, avar, bvar, cvar
+from .laurent import TAG_A, VarKey
 
 Point3 = tuple
 
@@ -61,14 +64,16 @@ class CutoffNotOdd(ValueError):
     pass
 
 
-# Unit steps subtracted from the top vertex, per axis.
-_AXIS_STEPS = {
-    "a": ((0, 1, 0), (0, 0, 1)),
-    "b": ((1, 0, 0), (0, 0, 1)),
-    "c": ((1, 0, 0), (0, 1, 0)),
-}
-
 AXES = ("a", "b", "c")
+
+# The axis rule of the module docstring: axis -> (t, x, y), where t is its
+# free coordinate and x < y are the other two.
+_AXIS = {axis: (t, *(c for c in range(3) if c != t)) for t, axis in enumerate(AXES)}
+
+_UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+# Unit steps subtracted from the top vertex, per axis.
+_AXIS_STEPS = {axis: (_UNIT[x], _UNIT[y]) for axis, (_, x, y) in _AXIS.items()}
 
 
 def _sub(p: Point3, q: Point3) -> Point3:
@@ -111,12 +116,8 @@ class Rhombus(NamedTuple):
         return (a, b) if a <= b else (b, a)
 
     def variable(self) -> VarKey:
-        i, j, k = self.top
-        if self.axis == "a":
-            return avar(j, k)
-        if self.axis == "b":
-            return bvar(i, k)
-        return cvar(i, j)
+        t, x, y = _AXIS[self.axis]
+        return (TAG_A + t, self.top[x], self.top[y])
 
     def corners(self) -> tuple[PlanePoint, PlanePoint, PlanePoint, PlanePoint]:
         """Projected vertices in cyclic order around the quadrilateral."""
@@ -211,22 +212,25 @@ class InitialConditions:
         n = self.min_cutoff
         return n if n % 2 == 1 else n + 1
 
+    def memo(self, key, build):
+        """The value stored under key, from build() on the first call that succeeds."""
+        value = self._windows.get(key)
+        if value is None:
+            value = self._windows[key] = build()
+        return value
+
     def points_in_J(self, N: int | None = None) -> tuple[Point3, ...]:
         """All initial points with coordinate sum >= -N-2, sorted."""
         N = self.min_cutoff if N is None else N
-        cached = self._windows.get(("points", N))
-        if cached is not None:
-            return cached
-        if not self.is_cutoff(N):
-            raise NotACutoff(str(N))
-        lo = -N - 2
-        pts = []
-        for p in itertools.product(range(lo, 1), repeat=3):
-            if p[0] + p[1] + p[2] >= lo and self.in_I(p):
-                pts.append(p)
-        out = tuple(sorted(pts))
-        self._windows[("points", N)] = out
-        return out
+
+        def build():
+            if not self.is_cutoff(N):
+                raise NotACutoff(str(N))
+            lo = -N - 2
+            cube = itertools.product(range(lo, 1), repeat=3)  # in sorted order
+            return tuple(p for p in cube if sum(p) >= lo and self.in_I(p))
+
+        return self.memo(("points", N), build)
 
     def contains_rhombus(self, r: Rhombus) -> bool:
         return all(self.in_I(p) for p in r.vertices())
@@ -234,28 +238,20 @@ class InitialConditions:
     def rhombi_in_J(self, N: int | None = None) -> tuple[Rhombus, ...]:
         """All rhombi whose four vertices lie in the radius-N window."""
         N = self.min_cutoff if N is None else N
-        cached = self._windows.get(("rhombi_in", N))
-        if cached is not None:
-            return cached
-        result = tuple(r for r in self.rhombi_touching_J(N) if sum(r.top) >= -N)
-        self._windows[("rhombi_in", N)] = result
-        return result
+        return self.memo(
+            ("rhombi_in", N),
+            lambda: tuple(r for r in self.rhombi_touching_J(N) if sum(r.top) >= -N),
+        )
 
     def rhombi_touching_J(self, N: int | None = None) -> tuple[Rhombus, ...]:
         """All rhombi with top-vertex sum >= -N-2 (their edges can reach the window)."""
         N = self.min_cutoff if N is None else N
-        cached = self._windows.get(("rhombi", N))
-        if cached is not None:
-            return cached
-        out = []
-        for p in self.points_in_J(N):
-            for axis in AXES:
-                r = Rhombus(axis, p)
-                if self.contains_rhombus(r):
-                    out.append(r)
-        result = tuple(sorted(out))
-        self._windows[("rhombi", N)] = result
-        return result
+
+        def build():
+            rhombi = (Rhombus(axis, p) for p in self.points_in_J(N) for axis in AXES)
+            return tuple(sorted(r for r in rhombi if self.contains_rhombus(r)))
+
+        return self.memo(("rhombi", N), build)
 
     def variable_rhombus(self, v: VarKey) -> Rhombus:
         """The unique rhombus carrying edge variable v, if it exists.
@@ -265,23 +261,12 @@ class InitialConditions:
         to 0; otherwise the successor's level determines it.  That makes
         {0} union {u-1 levels over u_fin} a complete candidate set.
         """
-        from .laurent import TAG_A, TAG_B, TAG_C
-
-        tag = v[0]
-        if tag == TAG_A:
-            j, k = v[1], v[2]
-            cands = {0} | {u[0] - 1 for u in self.u_fin}
-            rhombi = [Rhombus("a", (i, j, k)) for i in sorted(cands)]
-        elif tag == TAG_B:
-            i, k = v[1], v[2]
-            cands = {0} | {u[1] - 1 for u in self.u_fin}
-            rhombi = [Rhombus("b", (i, j, k)) for j in sorted(cands)]
-        elif tag == TAG_C:
-            i, j = v[1], v[2]
-            cands = {0} | {u[2] - 1 for u in self.u_fin}
-            rhombi = [Rhombus("c", (i, j, k)) for k in sorted(cands)]
-        else:
+        t = v[0] - TAG_A
+        if not 0 <= t < len(AXES):
             raise NoSuchRhombus(f"{v} is not an edge variable")
+        # The top vertex is v's two indices with the free index put in at position t.
+        cands = sorted({0} | {u[t] - 1 for u in self.u_fin})
+        rhombi = [Rhombus(AXES[t], v[1:1 + t] + (f,) + v[1 + t:]) for f in cands]
         found = [r for r in rhombi if self.contains_rhombus(r)]
         if not found:
             raise NoSuchRhombus(f"no rhombus carries {v}")

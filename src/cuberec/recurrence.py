@@ -65,8 +65,6 @@ MODE_ABC = "abc"
 MODE_ALL_ONES = "all-ones"
 MODE_SHIFT_OCTA = "shift-octa"
 
-SYMBOLIC_MODES = (MODE_EDGE_VARS, MODE_ABC, MODE_SHIFT_OCTA)
-
 
 @dataclass(frozen=True)
 class CustomMode:

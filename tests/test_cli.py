@@ -175,6 +175,11 @@ def test_library_usage_errors_exit_2_with_one_line(tmp_path, capsys):
         "negative-count": ["sequence", "--gr", "1,1,1", "--count", "-3"],
         "certificate-too-large": ["sequence", "--gr", "1,1,1", "--count", "3",
                                   "--certify-up-to", "8"],
+        "negative-certify-up-to": ["sequence", "--gr", "1,1,1", "--count", "5",
+                                   "--certify-up-to", "-2"],
+        "zero-term": ["sequence", "--gr", "1,1,1", "--alpha", "0", "--beta", "0",
+                      "--gamma", "0"],
+        "cutoff-without-brute-force": ["enumerate", "--preset", "standard:2", "--cutoff", "0"],
         "render-scale-0": ["render", "lattice", "--preset", "standard:3", "--scale", "0"],
         "render-unknown-layer": ["render", "lattice", "--preset", "standard:3",
                                  "--layers", "foo"],

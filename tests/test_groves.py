@@ -85,6 +85,10 @@ def test_check_grove_compactness():
     deep = Grove(EMPTY, frozenset({Rhombus("a", (0, -2, -2))}))
     violation = check_grove(deep, 3)
     assert violation is not None and violation.kind == "compactness"
+    # long edges below the window leave the degree table alone, also one
+    # whose ends lie in the window
+    for r in (Rhombus("a", (0, -2, -2)), Rhombus("a", (0, 0, -1))):
+        assert grove_degrees(Grove(EMPTY, frozenset({r}))) == grove_degrees(base_grove(EMPTY))
 
 
 def test_boundary_class_counts():
@@ -165,9 +169,21 @@ def test_window_views_agree_on_random_ics():
     rng = random.Random(2004)
     for _ in range(16):
         ic = random_ic(rng, depth=1, boxes=4)
+        N = ic.min_cutoff
+        touching = ic.rhombi_touching_J(N)
         gs = enumerate_local_moves(ic)
         for g in gs:
             assert check_grove(g) is None and is_acyclic(g), (ic, g)
+            # Direct count: a window rhombus adds 1 at both ends of the edge g
+            # uses on it, a rhombus below the window 1 at its top.
+            count = dict.fromkeys(ic.points_in_J(N), 0)
+            for r in touching:
+                if sum(r.top) < -N:
+                    count[r.top] += 1
+                    continue
+                for p in r.long_edge() if r in g.long_edges else r.short_edge():
+                    count[p] += 1
+            assert grove_degrees(g) == count, (ic, g)
             s = to_simplified(g)
             assert from_simplified(s) == g
             assert simplified_components(s) == (3 * s.N + 5) // 2

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import convex_interiors_disjoint, random_ic
 from cuberec import lattice
-from cuberec.laurent import avar, cvar
+from cuberec.laurent import avar, bvar, cvar
 from cuberec.lattice import (
     InitialConditions,
     NoSuchRhombus,
@@ -66,8 +66,14 @@ def test_rhombi_in_J_counts_and_membership():
 
 
 def test_edge_variable_and_inverse():
-    r = Rhombus("a", (0, -1, -2))
-    assert r.variable() == avar(-1, -2)
+    i, j, k = 0, -1, -2
+    assert Rhombus("a", (i, j, k)).variable() == avar(j, k)
+    assert Rhombus("b", (i, j, k)).variable() == bvar(i, k)
+    assert Rhombus("c", (i, j, k)).variable() == cvar(i, j)
+    # one step down the free coordinate keeps the edge variable
+    down = {"a": (i - 1, j, k), "b": (i, j - 1, k), "c": (i, j, k - 1)}
+    for axis, p in down.items():
+        assert Rhombus(axis, p).variable() == Rhombus(axis, (i, j, k)).variable(), axis
     one = InitialConditions([(0, 0, 0)])
     assert one.variable_rhombus(cvar(0, 0)) == Rhombus("c", (0, 0, -1))
     with pytest.raises(NoSuchRhombus):
