@@ -33,6 +33,7 @@ Enumeration comes in two independent flavours:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
@@ -118,8 +119,10 @@ class Grove:
     long_edges: frozenset
 
     def __post_init__(self):
+        # Window rhombi are contained; only long edges outside it need the check.
+        window = _window(self.ic, self.ic.min_cutoff).deltas if self.long_edges else {}
         for r in self.long_edges:
-            if not self.ic.contains_rhombus(r):
+            if r not in window and not self.ic.contains_rhombus(r):
                 raise ValueError(f"rhombus {r} is not contained in the initial conditions")
 
     def sorted_long_edges(self) -> list[Rhombus]:
@@ -224,18 +227,19 @@ def _window(ic: InitialConditions, N: int) -> _Window:
     return ic.memo(("window", N), build)
 
 
-def _window_edges(g: Grove, rhombi: Iterable[Rhombus]) -> Iterator[tuple[Point3, Point3]]:
-    """The edge g uses on each rhombus: its long edge if chosen, else its short edge."""
+def _window_edges(g: Grove, rhombi: Iterable[Rhombus]) -> Iterator[tuple[bool, tuple]]:
+    """The edge g uses on each rhombus, paired with True when it is the long edge."""
     longs = g.long_edges
     for r in rhombi:
-        yield r.long_edge() if r in longs else r.short_edge()
+        long = r in longs
+        yield long, r.long_edge() if long else r.short_edge()
 
 
 def _window_forest(g: Grove, window: _Window):
     """Union g's window edges; the second value is False when a union closed a cycle."""
     index = window.index
     dsu = _DisjointSet(len(index))
-    merged = sum(dsu.union(index[u], index[v]) for u, v in _window_edges(g, window.rhombi))
+    merged = sum(dsu.union(index[u], index[v]) for _, (u, v) in _window_edges(g, window.rhombi))
     return dsu, merged == len(window.rhombi)
 
 
@@ -312,8 +316,8 @@ def grove_from_monomial(ic: InitialConditions, m: Monomial) -> Grove:
 
 
 def grove_sum(groves: Iterable[Grove]) -> LaurentPoly:
-    """Sum of grove monomials as a polynomial."""
-    return LaurentPoly(monomial_of(g) for g in groves)
+    """Sum of grove monomials as a polynomial; each monomial is already normalized."""
+    return LaurentPoly._raw(dict(Counter(monomial_of(g).exps for g in groves)))
 
 
 def coeffone_sums(g: Grove, r: Rhombus) -> int:
@@ -328,19 +332,19 @@ def coeffone_sums(g: Grove, r: Rhombus) -> int:
 
 def _local_step(u: Point3, configs: set[frozenset]) -> set[frozenset]:
     """Apply the three-rhombus correspondence at the restored point u."""
-    old_set = frozenset(Rhombus(axis, u) for axis in AXES)
     # A long edge moves one step down its axis's free coordinate, which keeps
     # its edge variable.
-    new = {axis: Rhombus(axis, _sub(u, _UNIT[t])) for axis, (t, _, _) in _AXIS.items()}
+    moved = {Rhombus(a, u): Rhombus(a, _sub(u, _UNIT[t])) for a, (t, _, _) in _AXIS.items()}
+    old_set = frozenset(moved)
     out: set[frozenset] = set()
     for cfg in configs:
-        present = sorted(r.axis for r in cfg & old_set)
+        present = cfg & old_set
         rest = cfg - old_set
-        if len(present) == 0:
-            for short_axis in AXES:
-                out.add(rest | {new[ax] for ax in AXES if ax != short_axis})
+        if not present:
+            for short in old_set:
+                out.add(rest | {moved[r] for r in old_set if r != short})
         elif len(present) == 1:
-            out.add(rest | {new[present[0]]})
+            out.add(rest | {moved[r] for r in present})
         elif len(present) == 2:
             out.add(rest)
         else:
@@ -437,7 +441,8 @@ def to_simplified(g: Grove, N: int | None = None) -> SimplifiedGrove:
     if N % 2 == 0:
         raise CutoffNotOdd(str(N))
     # Both ends of an edge share the parity of their coordinate sum.
-    edges = frozenset(e for e in _window_edges(g, ic.rhombi_in_J(N)) if sum(e[0]) % 2 == 0)
+    rhombi = _window(ic, N).rhombi
+    edges = frozenset(e for _, e in _window_edges(g, rhombi) if sum(e[0]) % 2 == 0)
     return SimplifiedGrove(ic=ic, N=N, edges=edges)
 
 
@@ -450,18 +455,15 @@ def from_simplified(s: SimplifiedGrove) -> Grove:
     # s-2, so the even edge of r is its long edge exactly when s is odd.
     longs = [
         r
-        for r in ic.rhombi_in_J(s.N)
+        for r in _window(ic, s.N).rhombi
         if (r.long_edge() in s.edges if sum(r.top) % 2 else r.short_edge() not in s.edges)
     ]
     return Grove(ic, frozenset(longs))
 
 
 def simplified_vertices(s: SimplifiedGrove) -> tuple[Point3, ...]:
-    return tuple(
-        p
-        for p in s.ic.points_in_J(s.N)
-        if sum(p) % 2 == 0 and sum(p) >= -s.N - 1
-    )
+    # The window reaches sum -N-2, which is odd for odd N.
+    return tuple(p for p in _window(s.ic, s.N).index if sum(p) % 2 == 0)
 
 
 def simplified_components(s: SimplifiedGrove) -> int:

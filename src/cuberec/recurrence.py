@@ -51,6 +51,7 @@ from .laurent import (
     TAG_B,
     TAG_C,
     LaurentPoly,
+    Monomial,
     VarKey,
     avar,
     bvar,
@@ -232,7 +233,7 @@ def abc_from_edge_vars(p: LaurentPoly) -> LaurentPoly:
                 rest.append((var, d // 2))
         return (m.coeff, rest)
 
-    return LaurentPoly(mapped(m) for m in p.terms())
+    return LaurentPoly(mapped(Monomial(c, e)) for e, c in p._terms.items())
 
 
 def f_numeric(

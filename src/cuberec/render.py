@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groves import Grove, boundary_classes
+from .groves import Grove, _window, _window_edges
 from .lattice import InitialConditions, PlanePoint, project
 
 LAYERS = frozenset(
@@ -107,55 +107,48 @@ class _Canvas:
 
 def render_lattice(ic: InitialConditions, opts: RenderOptions | None = None) -> str:
     """Rhombus outlines and graph edges of the radius-N window."""
-    opts = opts or RenderOptions()
-    N = ic.min_odd_cutoff if opts.N is None else opts.N
-    canvas = _Canvas(opts.scale)
-    rhombi = ic.rhombi_in_J(N)
-    if "rhombi" in opts.layers:
-        for r in rhombi:
-            canvas.polygon(r.corners(), "rhombus")
-    if "long_edges" in opts.layers:
-        for r in rhombi:
-            a, b = r.long_edge()
-            canvas.line(project(a), project(b), "lattice-long", 0.04 * opts.scale)
-    if "short_edges" in opts.layers:
-        for r in rhombi:
-            a, b = r.short_edge()
-            canvas.line(project(a), project(b), "lattice-short", 0.04 * opts.scale)
-    _decorations(canvas, ic, N, opts)
-    return canvas.document()
+
+    def edges(rhombi, layers):
+        if "long_edges" in layers:
+            for r in rhombi:
+                yield "lattice-long", 0.04, r.long_edge()
+        if "short_edges" in layers:
+            for r in rhombi:
+                yield "lattice-short", 0.04, r.short_edge()
+
+    return _render(ic, opts, edges)
 
 
 def render_grove(g: Grove, opts: RenderOptions | None = None) -> str:
     """One edge per window rhombus: the grove's long edges emphasized."""
+
+    def edges(rhombi, layers):
+        for long, edge in _window_edges(g, rhombi):
+            yield ("grove-long", 0.12, edge) if long else ("grove-short", 0.05, edge)
+
+    return _render(g.ic, opts, edges)
+
+
+def _render(ic: InitialConditions, opts: RenderOptions | None, edges) -> str:
+    """Outlines, the (class, width, edge) triples of edges(rhombi, layers), decorations."""
     opts = opts or RenderOptions()
-    ic = g.ic
     N = ic.min_odd_cutoff if opts.N is None else opts.N
+    window = _window(ic, N)
     canvas = _Canvas(opts.scale)
-    rhombi = ic.rhombi_in_J(N)
     if "rhombi" in opts.layers:
-        for r in rhombi:
+        for r in window.rhombi:
             canvas.polygon(r.corners(), "rhombus")
-    for r in rhombi:
-        if r in g.long_edges:
-            a, b = r.long_edge()
-            canvas.line(project(a), project(b), "grove-long", 0.12 * opts.scale)
-        else:
-            a, b = r.short_edge()
-            canvas.line(project(a), project(b), "grove-short", 0.05 * opts.scale)
-    _decorations(canvas, ic, N, opts)
-    return canvas.document()
-
-
-def _decorations(canvas: _Canvas, ic: InitialConditions, N: int, opts: RenderOptions):
+    for cls, width, (a, b) in edges(window.rhombi, opts.layers):
+        canvas.line(project(a), project(b), cls, width * opts.scale)
     if "boundary_classes" in opts.layers:
-        for ci, cls in enumerate(boundary_classes(N)):
+        for ci, cls in enumerate(window.classes):
             color = _CLASS_COLORS[ci % len(_CLASS_COLORS)]
             for p in cls:
                 canvas.circle(project(p), 0.12 * opts.scale, "class-mark", color)
     if "vertex_labels" in opts.layers:
-        for p in ic.points_in_J(N):
+        for p in window.index:
             canvas.text(project(p), "(%d,%d,%d)" % p, "vertex-label", dy=-0.1 * opts.scale)
+    return canvas.document()
 
 
 def render_asm(triangle: list[list[int]], opts: RenderOptions | None = None) -> str:

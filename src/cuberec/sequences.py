@@ -38,7 +38,6 @@ class GaleRobinsonSpec:
     p: int
     q: int
     r: int
-    l: int = 0
     alpha: Fraction = Fraction(1)
     beta: Fraction = Fraction(1)
     gamma: Fraction = Fraction(1)
@@ -46,8 +45,6 @@ class GaleRobinsonSpec:
     def __post_init__(self):
         if min(self.p, self.q, self.r) < 1:
             raise ValueError("p, q, r must be positive")
-        if self.l < 0:
-            raise ValueError("l must be >= 0")
 
     @property
     def n(self) -> int:
@@ -96,21 +93,21 @@ def gr_terms(
     return _gr_extend(spec, terms, coeffs, count, operator.truediv)
 
 
-def gr_symbolic(spec: GaleRobinsonSpec, l: int | None = None) -> LaurentPoly:
+def gr_symbolic(spec: GaleRobinsonSpec, l: int) -> LaurentPoly:
     """Term y_l as an exact Laurent polynomial in y_0..y_{n-1}, alpha, beta, gamma.
 
     Runs the one-dimensional recurrence directly with exact division; this is
     the independent oracle for the cube-recurrence reduction.
     """
-    l = spec.l if l is None else l
+    if l < 0:
+        raise ValueError(f"l must be >= 0, not {l}")
     terms = [LaurentPoly.variable(yvar(m)) for m in range(spec.n)]
     coeffs = tuple(LaurentPoly.variable(v) for v in (ALPHA, BETA, GAMMA))
     return _gr_extend(spec, terms, coeffs, l + 1, div_exact)[l]
 
 
-def gr_renamed_cube_poly(spec: GaleRobinsonSpec, l: int | None = None) -> LaurentPoly:
+def gr_renamed_cube_poly(spec: GaleRobinsonSpec, l: int) -> LaurentPoly:
     """The cube-recurrence polynomial with lattice variables renamed to y-terms."""
-    l = spec.l if l is None else l
     ic = lattice.gale_robinson(spec.p, spec.q, spec.r, l)
     poly = recurrence.f_symbolic(ic, recurrence.MODE_ABC)
     mapping = {}
@@ -129,25 +126,24 @@ class GrCertificate:
     count_match: bool
 
 
-def gr_certificate(
-    spec: GaleRobinsonSpec,
-    l: int | None = None,
-    max_groves: int = 200_000,
-) -> GrCertificate:
+# Certificates enumerate at most this many groves.
+_MAX_GROVES = 200_000
+
+
+def gr_certificate(spec: GaleRobinsonSpec, l: int) -> GrCertificate:
     """Certify term y_l: grove count equals the recursion value.
 
     The counting side always uses the all-ones specialization (unit
     coefficients and unit initial terms), which is where terms count groves,
     so ``spec.alpha`` etc. play no part.  The expected size is pre-computed
-    numerically; enumeration beyond ``max_groves`` raises TooLarge.
+    numerically; enumeration beyond ``_MAX_GROVES`` raises TooLarge.
     """
-    l = spec.l if l is None else l
     value = gr_terms(GaleRobinsonSpec(spec.p, spec.q, spec.r), l + 1)[l]
     ic = lattice.gale_robinson(spec.p, spec.q, spec.r, l)
     expected = recurrence.f_numeric(ic)
-    if expected > max_groves:
+    if expected > _MAX_GROVES:
         raise groves.TooLarge(
-            f"term y_{l} counts {expected} groves, above the {max_groves} bound"
+            f"term y_{l} counts {expected} groves, above the {_MAX_GROVES} bound"
         )
     count = len(groves.enumerate_local_moves(ic))
     return GrCertificate(

@@ -100,6 +100,25 @@ def test_grove_rejects_rhombus_outside():
     # (0,0,0) is not an initial point once it joins the upper set
     with pytest.raises(ValueError):
         Grove(ONE_STEP, frozenset({Rhombus("a", (0, 0, 0))}))
+    # below the window, where no window rhombus vouches for it
+    with pytest.raises(ValueError):
+        Grove(EMPTY, frozenset({Rhombus("a", (-3, -3, -3))}))
+
+
+def test_enumeration_checks_containment_once_per_ideal(monkeypatch):
+    # Enumerated long edges lie in the window, whose build is the only check.
+    calls = 0
+    contains = InitialConditions.contains_rhombus
+
+    def counted(self, r):
+        nonlocal calls
+        calls += 1
+        return contains(self, r)
+
+    monkeypatch.setattr(InitialConditions, "contains_rhombus", counted)
+    ic = lattice.standard(5)
+    assert len(enumerate_local_moves(ic)) == 729
+    assert calls <= 3 * len(ic.points_in_J()) == 192
 
 
 # Six long edges forming a closed hexagon inside the bulk of standard(4).

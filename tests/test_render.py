@@ -1,10 +1,12 @@
 """SVG output: element counts, determinism, and validation."""
 
+import hashlib
+
 import pytest
 
 from conftest import grove_key
 from cuberec import groves, lattice, render
-from cuberec.lattice import InitialConditions
+from cuberec.lattice import InitialConditions, Rhombus
 from cuberec.render import RenderOptions, render_asm, render_grove, render_lattice
 
 EMPTY = InitialConditions(())
@@ -41,6 +43,23 @@ def test_byte_determinism():
     assert a == b
     g = sorted(groves.enumerate_local_moves(ONE_STEP), key=grove_key)[0]
     assert render_grove(g, RenderOptions(N=1)) == render_grove(g, RenderOptions(N=1))
+
+
+def test_pinned_bytes():
+    # Fixed SHA-256 digests: a change to how pictures are drawn must not move a byte.
+    def digest(doc):
+        return hashlib.sha256(doc.encode()).hexdigest()
+
+    doc = render_lattice(lattice.standard(4), RenderOptions(N=3, layers=render.LAYERS))
+    assert digest(doc) == "a49975520e188aaa84e634c5e24a6789028e641b81e281475edb6f11878d01ae"
+    g = groves.Grove(lattice.standard(3), frozenset({
+        Rhombus("b", (-1, -1, 0)),
+        Rhombus("b", (0, -2, 0)),
+        Rhombus("c", (-1, 0, -1)),
+        Rhombus("c", (0, 0, -2)),
+    }))
+    doc = render_grove(g, RenderOptions(layers=render.LAYERS))
+    assert digest(doc) == "b207e18a822c670b9b8f7ad55ec26d15baf7b784dd942b02352a25ff3b28fe4f"
 
 
 def test_grove_edge_counts():

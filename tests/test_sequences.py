@@ -105,5 +105,5 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         GaleRobinsonSpec(0, 1, 1)
     with pytest.raises(ValueError):
-        GaleRobinsonSpec(1, 1, 1, l=-2)
+        gr_symbolic(GaleRobinsonSpec(1, 1, 1), -2)
     assert SOMOS7.n == 7
