@@ -78,8 +78,11 @@ def _load_ics(args, multiple: bool = False) -> list[lattice.InitialConditions]:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _usage_error(f"cannot write --out {out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -361,7 +364,7 @@ class _VerifyContext(dict):
 
 
 def cmd_verify(args) -> int:
-    props = args.props.split(",") if args.props else list(PROPERTIES)
+    props = args.props.split(",") if args.props is not None else list(PROPERTIES)
     unknown = [p for p in props if p not in PROPERTIES]
     if unknown:
         raise _usage_error(f"unknown properties {unknown}")

@@ -12,8 +12,8 @@ edge (the one rule _window_edges, behind every view of the window), and a
 choice of edges extends to a grove exactly when the resulting graph is a
 forest whose components pair up one-to-one with the 3N+7 boundary classes.
 What all groves of one ideal share at one radius is built once (_window).
-A long edge in place of a short one moves four vertex degrees by one, so a
-grove's degree table is the base grove's plus one fixed delta per long edge.
+A long edge in place of a short one multiplies the monomial by a fixed step,
+so a grove's monomial, all it caches, is the base grove's times its steps.
 
 Enumeration comes in two independent flavours:
 
@@ -43,6 +43,7 @@ from .laurent import (
     TAG_A,
     TAG_B,
     TAG_C,
+    TAG_X,
     LaurentPoly,
     Monomial,
     exps_from_items,
@@ -120,7 +121,7 @@ class Grove:
 
     def __post_init__(self):
         # Window rhombi are contained; only long edges outside it need the check.
-        window = _window(self.ic, self.ic.min_cutoff).deltas if self.long_edges else {}
+        window = _window(self.ic, self.ic.min_cutoff).steps if self.long_edges else {}
         for r in self.long_edges:
             if r not in window and not self.ic.contains_rhombus(r):
                 raise ValueError(f"rhombus {r} is not contained in the initial conditions")
@@ -129,17 +130,13 @@ class Grove:
         return sorted(self.long_edges)
 
     @cached_property
-    def _degrees(self) -> dict[Point3, int]:
-        """The window degree table, built on first use; shared, never mutate.
-
-        The base grove's table plus the deltas of the long edges on window rhombi.
-        """
+    def _monomial(self) -> Monomial:
+        """The base monomial times each long edge's step, or its variable outside the window."""
         window = _window(self.ic, self.ic.min_cutoff)
-        deg = dict(window.degrees)
+        items = list(window.base.exps)
         for r in self.long_edges:
-            for p, d in window.deltas.get(r, ()):
-                deg[p] += d
-        return deg
+            items += window.steps.get(r) or ((r.variable(), 1),)
+        return Monomial(1, exps_from_items(items))
 
 
 @dataclass(frozen=True)
@@ -198,10 +195,10 @@ class _Window(NamedTuple):
     """What every grove of one ideal shares at radius N; never mutate."""
 
     index: dict[Point3, int]  # the window points, sorted, to 0..n-1
-    rhombi: tuple[Rhombus, ...]
+    edges: dict[Rhombus, tuple[tuple, tuple]]  # (long, short) of each rhombus, sorted
     classes: list[tuple[Point3, ...]]
-    degrees: dict[Point3, int]  # the base grove's, which uses every short edge
-    deltas: dict[Rhombus, tuple]  # (point, change) pairs of each window long edge
+    base: Monomial  # the base grove's, which uses every short edge
+    steps: dict[Rhombus, tuple]  # what each rhombus's long edge multiplies it by
 
 
 def _window(ic: InitialConditions, N: int) -> _Window:
@@ -209,38 +206,36 @@ def _window(ic: InitialConditions, N: int) -> _Window:
 
     def build():
         points = ic.points_in_J(N)
-        rhombi = ic.rhombi_in_J(N)
-        # Every short edge adds 1 at its ends inside the window; that covers
+        edges = {r: (r.long_edge(), r.short_edge()) for r in ic.rhombi_in_J(N)}
+        # Every short edge adds 1 at its ends; at the window points that covers
         # the forced short edges below it, which meet it only at their tops.
-        degrees = dict.fromkeys(points, 0)
-        for r in ic.rhombi_touching_J(N):
-            for p in r.short_edge():
-                if p in degrees:
-                    degrees[p] += 1
-        deltas = {
-            r: tuple((p, 1) for p in r.long_edge()) + tuple((p, -1) for p in r.short_edge())
-            for r in rhombi
+        degrees = Counter(p for r in ic.rhombi_touching_J(N) for p in r.short_edge())
+        x = {p: xvar(*p) for p in points}
+        base = Monomial(1, tuple((x[p], degrees[p] - 2) for p in points if degrees[p] != 2))
+        steps = {
+            r: ((r.variable(), 1), *((x[p], 1) for p in long), *((x[p], -1) for p in short))
+            for r, (long, short) in edges.items()
         }
         index = {p: t for t, p in enumerate(points)}
-        return _Window(index, rhombi, boundary_classes(N), degrees, deltas)
+        return _Window(index, edges, boundary_classes(N), base, steps)
 
     return ic.memo(("window", N), build)
 
 
-def _window_edges(g: Grove, rhombi: Iterable[Rhombus]) -> Iterator[tuple[bool, tuple]]:
-    """The edge g uses on each rhombus, paired with True when it is the long edge."""
+def _window_edges(g: Grove, window: _Window) -> Iterator[tuple[bool, tuple]]:
+    """The edge g uses on each window rhombus, paired with True when it is the long edge."""
     longs = g.long_edges
-    for r in rhombi:
+    for r, (long_edge, short_edge) in window.edges.items():
         long = r in longs
-        yield long, r.long_edge() if long else r.short_edge()
+        yield long, long_edge if long else short_edge
 
 
 def _window_forest(g: Grove, window: _Window):
     """Union g's window edges; the second value is False when a union closed a cycle."""
     index = window.index
     dsu = _DisjointSet(len(index))
-    merged = sum(dsu.union(index[u], index[v]) for _, (u, v) in _window_edges(g, window.rhombi))
-    return dsu, merged == len(window.rhombi)
+    merged = sum(dsu.union(index[u], index[v]) for _, (u, v) in _window_edges(g, window))
+    return dsu, merged == len(window.edges)
 
 
 def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
@@ -278,22 +273,26 @@ def is_acyclic(g: Grove) -> bool:
     return _window_forest(g, _window(g.ic, g.ic.min_cutoff))[1]
 
 
+def _x_part(g: Grove) -> dict[Point3, int]:
+    """Each window point's degree minus 2, where not 0, read off g's monomial."""
+    return {v[1:]: e for v, e in g._monomial.exps if v[0] == TAG_X}
+
+
 def grove_degrees(g: Grove) -> dict[Point3, int]:
     """Vertex degrees on the minimal window; every vertex beyond it has degree 2."""
-    return dict(g._degrees)
+    x = _x_part(g)
+    return {p: 2 + x.get(p, 0) for p in _window(g.ic, g.ic.min_cutoff).index}
 
 
 def stats(g: Grove) -> GroveStats:
     axes = [r.axis for r in g.long_edges]
-    degree = {p: d for p, d in g._degrees.items() if d != 2}
+    degree = {p: e + 2 for p, e in _x_part(g).items()}
     return GroveStats(*(axes.count(a) for a in AXES), degree=degree)
 
 
 def monomial_of(g: Grove) -> Monomial:
     """The grove monomial: long-edge variables times x**(degree-2)."""
-    items = [(r.variable(), 1) for r in g.long_edges]
-    items += [(xvar(*p), d - 2) for p, d in g._degrees.items() if d != 2]
-    return Monomial(1, exps_from_items(items))
+    return g._monomial
 
 
 def grove_from_monomial(ic: InitialConditions, m: Monomial) -> Grove:
@@ -327,7 +326,9 @@ def coeffone_sums(g: Grove, r: Rhombus) -> int:
     """
     _, x, y = _AXIS[r.axis]
     tx, ty = r.top[x], r.top[y]
-    return sum(d - 2 for p, d in g._degrees.items() if p[x] < tx and p[y] < ty)
+    # The key of x(p) is (TAG_X, *p); read in place, as this runs per (grove, rhombus).
+    return sum(e for v, e in g._monomial.exps
+               if v[0] == TAG_X and v[1 + x] < tx and v[1 + y] < ty)
 
 
 def _local_step(u: Point3, configs: set[frozenset]) -> set[frozenset]:
@@ -383,7 +384,7 @@ def enumerate_bruteforce(
     for r in rhombi:
         lu, lv = r.long_edge()
         su, sv = r.short_edge()
-        edges.append(((index[lu], index[lv]), (index[su], index[sv])))
+        edges.append((r, (index[lu], index[lv]), (index[su], index[sv])))
 
     dsu = _DisjointSet(len(index), keep_log=True)
     comp_class = class_of[:]  # class owned by each root's component, -1 if none
@@ -418,14 +419,14 @@ def enumerate_bruteforce(
                     return
             found.append(frozenset(chosen))
             return
-        (lu, lv), (su, sv) = edges[t]
+        r, (lu, lv), (su, sv) = edges[t]
         token = attach(su, sv)
         if token is not None:
             rec(t + 1)
             detach(token)
         token = attach(lu, lv)
         if token is not None:
-            chosen.append(rhombi[t])
+            chosen.append(r)
             rec(t + 1)
             chosen.pop()
             detach(token)
@@ -441,8 +442,7 @@ def to_simplified(g: Grove, N: int | None = None) -> SimplifiedGrove:
     if N % 2 == 0:
         raise CutoffNotOdd(str(N))
     # Both ends of an edge share the parity of their coordinate sum.
-    rhombi = _window(ic, N).rhombi
-    edges = frozenset(e for _, e in _window_edges(g, rhombi) if sum(e[0]) % 2 == 0)
+    edges = frozenset(e for _, e in _window_edges(g, _window(ic, N)) if sum(e[0]) % 2 == 0)
     return SimplifiedGrove(ic=ic, N=N, edges=edges)
 
 
@@ -455,8 +455,8 @@ def from_simplified(s: SimplifiedGrove) -> Grove:
     # s-2, so the even edge of r is its long edge exactly when s is odd.
     longs = [
         r
-        for r in _window(ic, s.N).rhombi
-        if (r.long_edge() in s.edges if sum(r.top) % 2 else r.short_edge() not in s.edges)
+        for r, (long, short) in _window(ic, s.N).edges.items()
+        if (long in s.edges if sum(r.top) % 2 else short not in s.edges)
     ]
     return Grove(ic, frozenset(longs))
 
@@ -483,14 +483,14 @@ def asm_triangle(g: Grove) -> list[list[int]]:
     n = g.ic.min_cutoff + 1
     if g.ic != standard(n):
         raise ValueError("alternating-sign triangles require standard initial conditions")
-    deg = g._degrees
+    x = _x_part(g)
     rows = []
     for r in range(n):
         i = -r
         row = []
         for j in range(0, r - n, -1):
             k = 1 - n - i - j
-            row.append(deg.get((i, j, k), 2) - 2)
+            row.append(x.get((i, j, k), 0))
         rows.append(row)
     return rows
 

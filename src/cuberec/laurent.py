@@ -258,6 +258,9 @@ class LaurentPoly:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        # A constant equals its int, so it hashes like it.
+        if self._terms.keys() <= {()}:
+            return hash(self._terms.get((), 0))
         return hash(frozenset(self._terms.items()))
 
     def __neg__(self) -> "LaurentPoly":

@@ -31,8 +31,8 @@ class RenderOptions:
     N: int | None = None
 
     def __post_init__(self):
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be a positive finite number, got {self.scale}")
         unknown = set(self.layers) - LAYERS
         if unknown:
             raise ValueError(f"unknown layers {sorted(unknown)}")
@@ -108,13 +108,13 @@ class _Canvas:
 def render_lattice(ic: InitialConditions, opts: RenderOptions | None = None) -> str:
     """Rhombus outlines and graph edges of the radius-N window."""
 
-    def edges(rhombi, layers):
+    def edges(window, layers):
         if "long_edges" in layers:
-            for r in rhombi:
-                yield "lattice-long", 0.04, r.long_edge()
+            for long, _ in window.edges.values():
+                yield "lattice-long", 0.04, long
         if "short_edges" in layers:
-            for r in rhombi:
-                yield "lattice-short", 0.04, r.short_edge()
+            for _, short in window.edges.values():
+                yield "lattice-short", 0.04, short
 
     return _render(ic, opts, edges)
 
@@ -122,23 +122,23 @@ def render_lattice(ic: InitialConditions, opts: RenderOptions | None = None) -> 
 def render_grove(g: Grove, opts: RenderOptions | None = None) -> str:
     """One edge per window rhombus: the grove's long edges emphasized."""
 
-    def edges(rhombi, layers):
-        for long, edge in _window_edges(g, rhombi):
+    def edges(window, layers):
+        for long, edge in _window_edges(g, window):
             yield ("grove-long", 0.12, edge) if long else ("grove-short", 0.05, edge)
 
     return _render(g.ic, opts, edges)
 
 
 def _render(ic: InitialConditions, opts: RenderOptions | None, edges) -> str:
-    """Outlines, the (class, width, edge) triples of edges(rhombi, layers), decorations."""
+    """Outlines, the (class, width, edge) triples of edges(window, layers), decorations."""
     opts = opts or RenderOptions()
     N = ic.min_odd_cutoff if opts.N is None else opts.N
     window = _window(ic, N)
     canvas = _Canvas(opts.scale)
     if "rhombi" in opts.layers:
-        for r in window.rhombi:
+        for r in window.edges:
             canvas.polygon(r.corners(), "rhombus")
-    for cls, width, (a, b) in edges(window.rhombi, opts.layers):
+    for cls, width, (a, b) in edges(window, opts.layers):
         canvas.line(project(a), project(b), cls, width * opts.scale)
     if "boundary_classes" in opts.layers:
         for ci, cls in enumerate(window.classes):

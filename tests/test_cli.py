@@ -183,6 +183,11 @@ def test_library_usage_errors_exit_2_with_one_line(tmp_path, capsys):
         "render-scale-0": ["render", "lattice", "--preset", "standard:3", "--scale", "0"],
         "render-unknown-layer": ["render", "lattice", "--preset", "standard:3",
                                  "--layers", "foo"],
+        "render-scale-nan": ["render", "lattice", "--preset", "standard:2", "--scale", "nan"],
+        "render-scale-inf": ["render", "lattice", "--preset", "standard:2", "--scale", "inf"],
+        "verify-empty-props": ["verify", "--preset", "standard:2", "--props", ""],
+        # --out names a file in a directory that does not exist
+        "no-such-dir/out.json": ["compute", "--preset", "standard:2"],
         "brute-force-too-large": ["enumerate", "--preset", "standard:4",
                                   "--method", "brute-force"],
     }

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import grove_key, random_ic
-from cuberec import groves, lattice, recurrence
+from cuberec import groves, lattice, recurrence, render
 from cuberec.groves import (
     Grove,
     RoundTripMismatch,
@@ -27,7 +27,7 @@ from cuberec.groves import (
     stats,
     to_simplified,
 )
-from cuberec.laurent import Monomial, avar, cvar, exps_from_items, xvar
+from cuberec.laurent import TAG_X, Monomial, avar, cvar, exps_from_items, xvar
 from cuberec.lattice import CutoffNotOdd, InitialConditions, NotACutoff, Rhombus
 
 EMPTY = InitialConditions(())
@@ -89,6 +89,10 @@ def test_check_grove_compactness():
     # whose ends lie in the window
     for r in (Rhombus("a", (0, -2, -2)), Rhombus("a", (0, 0, -1))):
         assert grove_degrees(Grove(EMPTY, frozenset({r}))) == grove_degrees(base_grove(EMPTY))
+    # ... and multiply the base monomial by their variable alone
+    base = monomial_of(base_grove(EMPTY)).exps
+    expected = exps_from_items([*base, (avar(-2, -2), 1)])
+    assert monomial_of(deep) == Monomial(1, expected)
 
 
 def test_boundary_class_counts():
@@ -119,6 +123,31 @@ def test_enumeration_checks_containment_once_per_ideal(monkeypatch):
     ic = lattice.standard(5)
     assert len(enumerate_local_moves(ic)) == 729
     assert calls <= 3 * len(ic.points_in_J()) == 192
+
+
+def test_grove_views_read_the_window_tables(monkeypatch):
+    # Once the windows are built, no per-grove view recomputes a rhombus's edges.
+    ic = lattice.standard(4)
+    gs = enumerate_local_moves(ic)
+    for N in (ic.min_cutoff, ic.min_odd_cutoff):
+        groves._window(ic, N)
+    calls = 0
+
+    def counting(method):
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            return method(self)
+        return counted
+
+    for name in ("long_edge", "short_edge"):
+        monkeypatch.setattr(Rhombus, name, counting(getattr(Rhombus, name)))
+    for g in gs:
+        assert is_acyclic(g) and check_grove(g) is None
+        assert from_simplified(to_simplified(g)) == g
+        monomial_of(g), stats(g), grove_degrees(g)
+    render.render_grove(min(gs, key=grove_key))
+    assert calls == 0
 
 
 # Six long edges forming a closed hexagon inside the bulk of standard(4).
@@ -203,6 +232,8 @@ def test_window_views_agree_on_random_ics():
                 for p in r.long_edge() if r in g.long_edges else r.short_edge():
                     count[p] += 1
             assert grove_degrees(g) == count, (ic, g)
+            x_part = {v[1:]: e for v, e in monomial_of(g).exps if v[0] == TAG_X}
+            assert x_part == {p: d - 2 for p, d in count.items() if d != 2}, (ic, g)
             s = to_simplified(g)
             assert from_simplified(s) == g
             assert simplified_components(s) == (3 * s.N + 5) // 2

@@ -37,6 +37,14 @@ def test_add_identity_and_cancellation():
     assert v(avar(0, 0)) + v(avar(0, 0)) == v(avar(0, 0), coeff=2)
 
 
+def test_constants_hash_like_their_ints():
+    for c in (0, 1, -7):
+        p = LaurentPoly.constant(c)
+        assert p == c and hash(p) == hash(c), c
+        assert len({p, c}) == 1, c
+    assert len({v(X), v(Y), LaurentPoly.one()}) == 3
+
+
 def test_mul_examples():
     assert v(X) * v(X, -1) == LaurentPoly.one()
     x, y = v(X), v(Y)
