@@ -61,6 +61,8 @@ def _bad_cutoff(N: int, ic: lattice.InitialConditions) -> SystemExit:
 
 
 def _load_ics(args, multiple: bool = False) -> list[lattice.InitialConditions]:
+    if not multiple and args.preset is not None and args.ic_file is not None:
+        raise _usage_error("give --preset or --ic-file, not both")
     ics = []
     presets = args.preset if multiple else ([args.preset] if args.preset else [])
     files = args.ic_file if multiple else ([args.ic_file] if args.ic_file else [])
@@ -74,6 +76,11 @@ def _load_ics(args, multiple: bool = False) -> list[lattice.InitialConditions]:
     if not ics:
         raise _usage_error("provide --preset or --ic-file")
     return ics
+
+
+def _check_brute_cap(args) -> None:
+    if args.brute_cap < 0:
+        raise _usage_error(f"--brute-cap must be >= 0, not {args.brute_cap}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -105,6 +112,7 @@ def cmd_compute(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.cutoff is not None and args.method != "brute-force":
         raise _usage_error("--cutoff applies only to --method brute-force")
+    _check_brute_cap(args)
     ic = _load_ics(args)[0]
     if args.method == "brute-force":
         try:
@@ -259,10 +267,8 @@ def _prop_coeffone(ic, ctx):
     bad = [c for c in ctx["f_sym"].coefficients() if c != 1]
     if bad:
         return f"non-unit coefficients {bad[:5]}"
-    rhombi = ic.rhombi_in_J(ic.min_cutoff)
     for g in ctx["groves"]:
-        for r in rhombi:
-            s = groves.coeffone_sums(g, r)
+        for r, s in groves.quadrant_sums(g).items():
             expected = -1 if r in g.long_edges else 0
             if s != expected:
                 return f"quadrant sum {s} at {r}, expected {expected}"
@@ -368,6 +374,7 @@ def cmd_verify(args) -> int:
     unknown = [p for p in props if p not in PROPERTIES]
     if unknown:
         raise _usage_error(f"unknown properties {unknown}")
+    _check_brute_cap(args)
     results = []
     ok = True
     for ic in _load_ics(args, multiple=True):

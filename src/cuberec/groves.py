@@ -13,7 +13,8 @@ choice of edges extends to a grove exactly when the resulting graph is a
 forest whose components pair up one-to-one with the 3N+7 boundary classes.
 What all groves of one ideal share at one radius is built once (_window).
 A long edge in place of a short one multiplies the monomial by a fixed step,
-so a grove's monomial, all it caches, is the base grove's times its steps.
+so a grove's monomial is the base grove's times its steps; a grove caches it,
+as exponents for its views and as a packed key for sums.
 
 Enumeration comes in two independent flavours:
 
@@ -138,6 +139,15 @@ class Grove:
             items += window.steps.get(r) or ((r.variable(), 1),)
         return Monomial(1, exps_from_items(items))
 
+    @cached_property
+    def _key(self) -> int:
+        """The same product, packed: the base key plus each long edge's step key."""
+        window = _window(self.ic, self.ic.min_cutoff)
+        step = window.step_keys.get
+        return window.base_key + sum(
+            step(r) or LaurentPoly._key(((r.variable(), 1),)) for r in self.long_edges
+        )
+
 
 @dataclass(frozen=True)
 class GroveStats:
@@ -199,6 +209,8 @@ class _Window(NamedTuple):
     classes: list[tuple[Point3, ...]]
     base: Monomial  # the base grove's, which uses every short edge
     steps: dict[Rhombus, tuple]  # what each rhombus's long edge multiplies it by
+    base_key: int  # base and steps packed as LaurentPoly keys
+    step_keys: dict[Rhombus, int]
 
 
 def _window(ic: InitialConditions, N: int) -> _Window:
@@ -217,7 +229,9 @@ def _window(ic: InitialConditions, N: int) -> _Window:
             for r, (long, short) in edges.items()
         }
         index = {p: t for t, p in enumerate(points)}
-        return _Window(index, edges, boundary_classes(N), base, steps)
+        key = LaurentPoly._key
+        step_keys = {r: key(step) for r, step in steps.items()}
+        return _Window(index, edges, boundary_classes(N), base, steps, key(base.exps), step_keys)
 
     return ic.memo(("window", N), build)
 
@@ -315,8 +329,8 @@ def grove_from_monomial(ic: InitialConditions, m: Monomial) -> Grove:
 
 
 def grove_sum(groves: Iterable[Grove]) -> LaurentPoly:
-    """Sum of grove monomials as a polynomial; each monomial is already normalized."""
-    return LaurentPoly._raw(dict(Counter(monomial_of(g).exps for g in groves)))
+    """Sum of grove monomials as a polynomial, added up as packed keys."""
+    return LaurentPoly._from_keys(dict(Counter(g._key for g in groves)))
 
 
 def coeffone_sums(g: Grove, r: Rhombus) -> int:
@@ -329,6 +343,34 @@ def coeffone_sums(g: Grove, r: Rhombus) -> int:
     # The key of x(p) is (TAG_X, *p); read in place, as this runs per (grove, rhombus).
     return sum(e for v, e in g._monomial.exps
                if v[0] == TAG_X and v[1 + x] < tx and v[1 + y] < ty)
+
+
+def quadrant_sums(g: Grove) -> dict[Rhombus, int]:
+    """coeffone_sums(g, r) for every rhombus r of the minimal window, in one pass.
+
+    Per axis, the degree-2 excesses of g's monomial go into a grid over the
+    window's two long-edge coordinates, -N-2..0, and a 2-D prefix sum over it
+    answers every rhombus's quadrant at once.
+    """
+    window = _window(g.ic, g.ic.min_cutoff)
+    x = _x_part(g)
+    size = g.ic.min_cutoff + 3  # coordinate c sits in row/column c + size, from 1 to size
+    below = {}
+    for axis, (_, i, j) in _AXIS.items():
+        grid = [[0] * (size + 1) for _ in range(size + 1)]
+        for p, e in x.items():
+            grid[p[i] + size][p[j] + size] += e
+        for a in range(1, size + 1):  # grid[a][b]: the sum over rows <= a, columns <= b
+            row, prev, run = grid[a], grid[a - 1], 0
+            for b in range(1, size + 1):
+                run += row[b]
+                row[b] = run + prev[b]
+        below[axis] = (grid, i, j)
+    out = {}
+    for r in window.edges:
+        grid, i, j = below[r.axis]
+        out[r] = grid[r.top[i] + size - 1][r.top[j] + size - 1]
+    return out
 
 
 def _local_step(u: Point3, configs: set[frozenset]) -> set[frozenset]:
@@ -371,7 +413,7 @@ def enumerate_bruteforce(
     class stays connected.  Both conditions prune the search.
     """
     N = ic.min_cutoff if N is None else N
-    index, rhombi, classes, _, _ = _window(ic, N)
+    index, rhombi, classes, *_ = _window(ic, N)
     if len(rhombi) > cap:
         raise TooLarge(f"{len(rhombi)} free rhombi exceed cap {cap}")
 

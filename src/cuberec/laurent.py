@@ -14,21 +14,34 @@ Variables are encoded as plain tuples whose first entry is an integer tag:
 
 Tuple comparison therefore realises the canonical variable order (tag first,
 then indices lexicographically).  An exponent map is a tuple of
-(variable, exponent) pairs sorted by variable, with no zero exponents; a
-polynomial maps exponent tuples to nonzero integer coefficients.  The zero
-polynomial is the empty map.  Terms are reported in descending graded
-lexicographic order, the same order used by exact division, so serialization
-is canonical.
+(variable, exponent) pairs sorted by variable, with no zero exponents.  Terms
+are reported in descending graded lexicographic order over the canonical
+variable order (``canonical_term_order``), so serialization is canonical.
 
-Graded lex order is defined once, by ``_Packing``: over the variables of a
-set of terms, each exponent map packs into one int whose fields hold, most
-significant first, the total degree and then each variable's exponent.  Every
-field has a guard bit on top and is wide enough for the largest degree the
-terms reach once shifted to nonnegative exponents, so int order is graded lex
-order and a product of monomials is an int sum.  ``canonical_term_order``
-sorts by these ints; ``div_exact`` divides over them, keeping the remainder
-in a dict keyed by packed monomial with a max-heap of its keys (heap division
-after Monagan and Pearce, "Sparse polynomial division using a heap", 2011).
+Stored form.  Each variable gets a fixed field index the first time any
+polynomial is built over it, and keeps it for the life of the process.  A
+polynomial stores a field width w (8, 16, 32, ... bits) and a dict from packed
+monomial to nonzero integer coefficient; the monomial with exponent e_i in
+field i packs to the int sum of e_i * 2**(w*i), with signed digits.  Every
+stored exponent lies in [-H, H), H = 2**(w-2).  So:
+
+* a product of monomials is the sum of their keys, and its digits lie in
+  [-2**(w-1), 2**(w-1)), which still determines them uniquely;
+* with H added to every field (the bias), an in-range digit becomes a value
+  below 2**(w-1), so ``(key + bias) & guards``, where ``guards`` holds the top
+  bit of every field, is zero exactly when every digit is in range.  The
+  same top bits compare all fields of two keys at once (``_extremes``).
+
+A product with a key out of range is re-encoded at twice the width, so
+exponents are unbounded and exact.  A new variable never changes an existing
+key.  Int order on keys is lex order with the last interned variable most
+significant; exact division runs over it (``div_exact``).  Keys are decoded
+only where exponents are read out, and ``terms()`` (so ``to_json`` and
+``__str__``) sorts them canonically, so the JSON bytes do not depend on the
+interning order; ``==`` and ``hash`` do not depend on the width.  Packed
+exponents and heap division follow Monagan and Pearce ("Polynomial division
+using dynamic arrays, heaps, and packed exponent vectors", CASC 2007;
+"Sparse polynomial division using a heap", 2011).
 
 All values are immutable after construction and every operation is pure.
 """
@@ -37,11 +50,11 @@ from __future__ import annotations
 
 import heapq
 import re
-from collections import Counter
+import sys
 from fractions import Fraction
-from itertools import chain
-from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple
+from functools import reduce
+from operator import itemgetter, or_
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 TAG_X, TAG_A, TAG_B, TAG_C, TAG_ALPHA, TAG_BETA, TAG_GAMMA, TAG_T, TAG_Y = range(9)
 
@@ -147,48 +160,135 @@ def exps_from_items(items: Iterable[tuple[VarKey, int]]) -> Exps:
     return tuple(sorted((v, e) for v, e in acc.items() if e))
 
 
-def _exps_mul(e1: Exps, e2: Exps) -> Exps:
-    # Merge two sorted pair tuples, adding exponents and dropping zeros.
-    out = []
-    i, j = 0, 0
-    n1, n2 = len(e1), len(e2)
-    while i < n1 and j < n2:
-        v1, x1 = e1[i]
-        v2, x2 = e2[j]
-        if v1 == v2:
-            s = x1 + x2
-            if s:
-                out.append((v1, s))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(e1[i])
-            i += 1
-        else:
-            out.append(e2[j])
-            j += 1
-    out.extend(e1[i:])
-    out.extend(e2[j:])
-    return tuple(out)
+# ---------------------------------------------------------------------------
+# Packed monomials
+
+_field: dict[VarKey, int] = {}  # each variable's field index, fixed at first use
+_variables: list[VarKey] = []  # the variable of each field
+_W0 = 8  # the width a polynomial is stored at unless an exponent needs more
+_FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # native unsigned ints of each width
+_mask_cache: dict[int, tuple[int, int, int]] = {}
+
+
+def _intern(v: VarKey) -> int:
+    f = _field.get(v)
+    if f is None:
+        f = _field[v] = len(_variables)
+        _variables.append(v)
+    return f
+
+
+def _masks(w: int) -> tuple[int, int]:
+    """(bias, guards) at width w: 2**(w-2), and the top bit 2**(w-1), in every field."""
+    n = len(_variables)
+    got = _mask_cache.get(w)
+    if got is None or got[0] != n:
+        ones = ((1 << (w * n)) - 1) // ((1 << w) - 1)
+        got = _mask_cache[w] = (n, ones << (w - 2), ones << (w - 1))
+    return got[1], got[2]
+
+
+def _width_for(exponents: Iterable[int]) -> int:
+    """The narrowest width whose fields hold every one of the exponents."""
+    top = max((x if x >= 0 else ~x for x in exponents), default=0)  # [-H, H) is ~x < H
+    w = _W0
+    while top >= 1 << (w - 2):
+        w *= 2
+    return w
+
+
+def _digits(u: int, w: int):
+    """The w-bit fields of a nonnegative int, lowest first, one per interned variable."""
+    n = len(_variables)
+    fmt = _FORMATS.get(w)
+    if fmt:
+        return memoryview(u.to_bytes(n * w // 8, sys.byteorder)).cast(fmt)
+    mask = (1 << w) - 1
+    return [(u >> (w * f)) & mask for f in range(n)]
+
+
+def _packed(items: Iterable[tuple[Exps, int]]) -> tuple[dict[int, int], int]:
+    """The key dict and width of (exponent map, coefficient) pairs with distinct maps."""
+    items = list(items)
+    w = _width_for(x for e, _ in items for _, x in e)
+    return {LaurentPoly._key(e, w): c for e, c in items}, w
+
+
+def _reencode(terms: dict[int, int], w: int, w2: int) -> dict[int, int]:
+    """The terms at width w2, from width w where every digit is in [-2**(w-1), 2**(w-1))."""
+    _, half_bias = _masks(w)
+    half = 1 << (w - 1)
+    out = {}
+    for k, c in terms.items():
+        digits = _digits(k + half_bias, w)
+        out[sum((d - half) << (w2 * f) for f, d in enumerate(digits) if d != half)] = c
+    return out
+
+
+def _checked(terms: dict[int, int], w: int) -> "LaurentPoly":
+    """A polynomial of terms whose digits are in [-2**(w-1), 2**(w-1)):
+    at width w if they are all in its stored range, else at 2w."""
+    bias, guards = _masks(w)
+    if terms and reduce(or_, map(bias.__add__, terms)) & guards:
+        return LaurentPoly._raw(_reencode(terms, w, 2 * w), 2 * w)
+    return LaurentPoly._raw(terms, w)
+
+
+def _extremes(keys: Iterable[int], w: int) -> tuple[int, int]:
+    """The fieldwise least and greatest exponents of stored keys, packed as keys.
+
+    Biased fields are below 2**(w-1), so setting each field's top bit before a
+    subtraction leaves that bit set exactly where the field did not go below
+    zero, and no field borrows from the next.
+    """
+    bias, guards = _masks(w)
+    top = w - 1
+    keys = iter(keys)
+    lo = hi = next(keys) + bias
+    for k in keys:
+        u = k + bias
+        ge = ((u | guards) - hi) & guards  # top bits of the fields where u >= hi
+        ge -= ge >> top  # those fields' value bits
+        hi ^= (u ^ hi) & ge
+        le = ((lo | guards) - u) & guards
+        le -= le >> top
+        lo ^= (u ^ lo) & le
+    return lo - bias, hi - bias
+
+
+def _exps_of(k: int, w: int) -> Exps:
+    """The exponent map of one key stored at width w."""
+    return next(LaurentPoly._raw({k: 1}, w)._decoded())[0]
 
 
 class LaurentPoly:
     """Immutable sparse Laurent polynomial with integer coefficients."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_w")
 
     def __init__(self, terms: Iterable[tuple[int, Iterable[tuple[VarKey, int]]]] = ()):
         data: dict[Exps, int] = {}
         for coeff, exps in terms:
             e = exps_from_items(exps)
             data[e] = data.get(e, 0) + coeff
-        self._terms = {e: c for e, c in data.items() if c}
+        self._terms, self._w = _packed((e, c) for e, c in data.items() if c)
 
     @staticmethod
-    def _raw(data: dict[Exps, int]) -> "LaurentPoly":
+    def _raw(data: dict[int, int], w: int = _W0) -> "LaurentPoly":
         p = LaurentPoly.__new__(LaurentPoly)
         p._terms = data
+        p._w = w
         return p
+
+    @staticmethod
+    def _key(exps: Iterable[tuple[VarKey, int]], w: int = _W0) -> int:
+        """The key at width w of (variable, exponent) pairs; each exponent must fit."""
+        return sum(x << (w * _intern(v)) for v, x in exps)
+
+    @staticmethod
+    def _from_keys(terms: dict[int, int]) -> "LaurentPoly":
+        """From nonzero terms keyed at the starting width w, exponents in [-2**(w-1), 2**(w-1))."""
+        return _checked(terms, _W0)
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -196,7 +296,7 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, c: int) -> "LaurentPoly":
-        return cls._raw({(): c} if c else {})
+        return cls._raw({0: c} if c else {})
 
     @classmethod
     def one(cls) -> "LaurentPoly":
@@ -204,17 +304,33 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, v: VarKey, exp: int = 1, coeff: int = 1) -> "LaurentPoly":
-        if coeff == 0:
-            return cls.zero()
-        if exp == 0:
-            return cls.constant(coeff)
-        return cls._raw({((v, exp),): coeff})
+        return cls.monomial(coeff, [(v, exp)])
 
     @classmethod
     def monomial(cls, coeff: int, exps: Iterable[tuple[VarKey, int]]) -> "LaurentPoly":
         if coeff == 0:
             return cls.zero()
-        return cls._raw({exps_from_items(exps): coeff})
+        return cls._raw(*_packed([(exps_from_items(exps), coeff)]))
+
+    def _at(self, w: int) -> dict[int, int]:
+        """The terms at width w, which is at least the stored width."""
+        return self._terms if w == self._w else _reencode(self._terms, self._w, w)
+
+    def _fields(self) -> list[int]:
+        """The fields in which some term has a nonzero exponent."""
+        bias, _ = _masks(self._w)
+        used = reduce(or_, ((k + bias) ^ bias for k in self._terms), 0)
+        return [f for f, d in enumerate(_digits(used, self._w)) if d]
+
+    def _decoded(self) -> Iterator[tuple[Exps, int]]:
+        """(exponent map, coefficient) of every term, in storage order."""
+        w = self._w
+        bias, _ = _masks(w)
+        h = 1 << (w - 2)
+        fields = [(f, _variables[f]) for f in sorted(self._fields(), key=_variables.__getitem__)]
+        for k, c in self._terms.items():
+            digits = _digits(k + bias, w)
+            yield tuple([(v, digits[f] - h) for f, v in fields if digits[f] != h]), c
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -229,56 +345,66 @@ class LaurentPoly:
         return [m.coeff for m in self.terms()]
 
     def variables(self) -> list[VarKey]:
-        seen = set()
-        for e in self._terms:
-            for v, _ in e:
-                seen.add(v)
-        return sorted(seen)
+        return sorted(_variables[f] for f in self._fields())
 
     def exponent_range(self, tag: int) -> tuple[int, int] | None:
         """Min/max exponent over all stored occurrences of variables with ``tag``."""
-        lo, hi = None, None
-        for e in self._terms:
-            for v, x in e:
-                if v[0] == tag:
-                    lo = x if lo is None else min(lo, x)
-                    hi = x if hi is None else max(hi, x)
-        return None if lo is None else (lo, hi)
+        w = self._w
+        bias, _ = _masks(w)
+        h = 1 << (w - 2)
+        fields = [f for f in self._fields() if _variables[f][0] == tag]
+        seen = set()
+        for k in self._terms:
+            digits = _digits(k + bias, w)
+            seen.update([digits[f] for f in fields])
+        seen.discard(h)  # an exponent 0 is no occurrence
+        return (min(seen) - h, max(seen) - h) if seen else None
 
     def terms(self) -> list[Monomial]:
         """Terms in canonical order: descending graded lex over the variable order."""
-        order = canonical_term_order(self._terms.keys())
-        return [Monomial(self._terms[e], e) for e in order]
+        coeffs = dict(self._decoded())
+        return [Monomial(coeffs[e], e) for e in canonical_term_order(coeffs)]
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self._terms == other._terms
+        if self._w == other._w:
+            return self._terms == other._terms
+        w = max(self._w, other._w)
+        return self._at(w) == other._at(w)
 
     def __hash__(self) -> int:
+        terms = self._terms
         # A constant equals its int, so it hashes like it.
-        if self._terms.keys() <= {()}:
-            return hash(self._terms.get((), 0))
-        return hash(frozenset(self._terms.items()))
+        if terms.keys() <= {0}:
+            return hash(terms.get(0, 0))
+        if self._w > _W0:  # equal polynomials hash alike at the narrowest width
+            narrow = _width_for(x for e, _ in self._decoded() for _, x in e)
+            terms = _reencode(terms, self._w, narrow)
+        return hash(frozenset(terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw({e: -c for e, c in self._terms.items()})
+        return LaurentPoly._raw({k: -c for k, c in self._terms.items()}, self._w)
 
     def __add__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
+        w = max(self._w, other._w)
+        big, small = self._at(w), other._at(w)
+        if len(big) < len(small):
+            big, small = small, big
+        out = dict(big)
+        for k, c in small.items():
+            s = out.get(k, 0) + c
             if s:
-                out[e] = s
+                out[k] = s
             else:
-                out.pop(e, None)
-        return LaurentPoly._raw(out)
+                del out[k]
+        return LaurentPoly._raw(out, w)
 
     __radd__ = __add__
 
@@ -296,19 +422,29 @@ class LaurentPoly:
         if isinstance(other, int):
             if other == 0:
                 return LaurentPoly.zero()
-            return LaurentPoly._raw({e: c * other for e, c in self._terms.items()})
+            return LaurentPoly._raw({k: c * other for k, c in self._terms.items()}, self._w)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[Exps, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = _exps_mul(e1, e2)
-                s = out.get(e, 0) + c1 * c2
+        w = max(self._w, other._w)
+        big, small = self._at(w), other._at(w)
+        if len(big) < len(small):
+            big, small = small, big
+        if len(small) == 1:
+            # A monomial shifts every key by the same amount: no two products meet.
+            ((k2, c2),) = small.items()
+            return _checked({k + k2: c * c2 for k, c in big.items()}, w)
+        out: dict[int, int] = {}
+        get = out.get
+        pairs = list(small.items())
+        for k1, c1 in big.items():
+            for k2, c2 in pairs:
+                k = k1 + k2
+                s = get(k, 0) + c1 * c2
                 if s:
-                    out[e] = s
+                    out[k] = s
                 else:
-                    out.pop(e, None)
-        return LaurentPoly._raw(out)
+                    del out[k]
+        return _checked(out, w)
 
     __rmul__ = __mul__
 
@@ -324,6 +460,10 @@ class LaurentPoly:
             n >>= 1
         return result
 
+    def __reduce__(self):
+        # Keys depend on this process's field order, so pickle exponent maps.
+        return LaurentPoly, ([(c, e) for e, c in self._decoded()],)
+
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -333,94 +473,40 @@ class LaurentPoly:
         return f"LaurentPoly({str(self)})"
 
 
-def _lowest_exponents(pairs: Counter, n_terms: int) -> dict[VarKey, int]:
-    """Each variable's least exponent over ``n_terms`` terms, read from the
-    counts of their (variable, exponent) pairs; a term without it counts 0."""
-    low: dict[VarKey, int] = {}
-    seen: dict[VarKey, int] = {}
-    for (v, x), count in pairs.items():
-        seen[v] = seen.get(v, 0) + count
-        if x < low.get(v, x + 1):
-            low[v] = x
-    return {v: x if seen[v] == n_terms else min(x, 0) for v, x in low.items()}
-
-
-class _Packing:
-    """Graded lex monomials over a set of term lists, packed into ints.
-
-    Every list is shifted by its own lowest exponents (``lows``), so that all
-    its exponents are nonnegative.  A shifted term packs into fields of
-    ``width`` bits: the total degree on top, then one field per variable in
-    variable order.  The top bit of each field is a guard bit, and the bits
-    below it hold the largest shifted total degree of any list.  While no
-    total degree exceeds that, no field carries into the next: int order is
-    graded lex order, a product of monomials is the sum of their keys, and a
-    difference of keys has a guard bit set exactly when some field of it went
-    negative.
-    """
-
-    def __init__(self, groups: list[list[Exps]]):
-        pairs = [Counter(chain.from_iterable(keys)) for keys in groups]
-        self.lows = [_lowest_exponents(c, len(keys)) for c, keys in zip(pairs, groups)]
-        degree = max(
-            max(sum(map(_exponent, e)) for e in keys) - sum(low.values())
-            for keys, low in zip(groups, self.lows)
-        )
-        self.variables = sorted(set().union(*self.lows))
-        n = len(self.variables)
-        self.width = degree.bit_length() + 1
-        self.position = {v: self.width * (n - 1 - i) for i, v in enumerate(self.variables)}
-        self.guards = sum(1 << (self.width * i + self.width - 1) for i in range(n + 1))
-        # A variable's unit exponent adds 1 to its own field and to the total.
-        self.weight = {v: (1 << pos) + (1 << self.width * n) for v, pos in self.position.items()}
-        self._pair_keys = {
-            (v, x): x * self.weight[v] for counts in pairs for v, x in counts
-        }
-
-    def key(self, exps: Exps) -> int:
-        """The packed unshifted exponents of a term of one of the lists.
-        Packing is linear, so this is the shifted key plus a constant: it
-        sorts like the shifted keys."""
-        return sum(map(self._pair_keys.__getitem__, exps))
-
-    def shifted(self, terms: dict[Exps, int], group: int) -> dict[int, int]:
-        """The terms of list ``group`` keyed by their shifted packed exponents."""
-        base = sum(x * self.weight[v] for v, x in self.lows[group].items())
-        return {self.key(e) - base: c for e, c in terms.items()}
-
-    def unpacker(self, shift: Mapping[VarKey, int]) -> Callable[[int], Exps]:
-        """The map from a nonnegative packed key to its exponents plus ``shift``."""
-        fields = [(v, pos, shift.get(v, 0)) for v, pos in self.position.items()]
-        mask = (1 << (self.width - 1)) - 1
-
-        def unpack(key: int) -> Exps:
-            return tuple([(v, x) for v, pos, s in fields if (x := ((key >> pos) & mask) + s)])
-
-        return unpack
-
-
 def canonical_term_order(exps_keys: Iterable[Exps]) -> list[Exps]:
-    """Sort exponent maps in descending graded lexicographic order."""
+    """Sort exponent maps in descending graded lex order: total degree first,
+    then the exponents of the variables in canonical order."""
     keys = list(exps_keys)
-    if not keys:
-        return keys
-    return sorted(keys, key=_Packing([keys]).key, reverse=True)
+    position = {v: t for t, v in enumerate(sorted({v for e in keys for v, _ in e}), 1)}
+    size = len(position) + 1
+
+    def grlex(e: Exps) -> list[int]:
+        vec = [0] * size
+        for v, x in e:
+            vec[position[v]] = x
+        vec[0] = sum(map(_exponent, e))
+        return vec
+
+    return sorted(keys, key=grlex, reverse=True)
 
 
 def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     """Exact division: the q with q*d == p.
 
-    Both operands are shifted by a monomial so that every variable has minimum
-    exponent zero, and their terms are packed as ``_Packing`` describes.  Then
-    heap division runs under graded lex: the remainder is a dict from packed
-    monomial to coefficient, and a max-heap of its keys gives the leading term
+    Heap division over the stored keys, in int order: the remainder is a dict
+    from key to coefficient, and a max-heap of its keys gives the leading term
     (a key whose term cancelled stays on the heap and is skipped when popped).
-    The divisor's leading monomial divides the remainder's exactly when their
-    key difference has no guard bit set.  Each quotient term's products with
-    the divisor are int sums of no higher degree than the leading term they
-    cancel, and below it in order, so no field overflows and a popped key
-    never returns.  The shift is undone on the quotient.  Any nonzero
-    remainder (or coefficient non-divisibility) raises NonzeroRemainder.
+    Each quotient term is the remainder's leading key minus the divisor's,
+    and its products with the divisor are below the leading term it cancels,
+    so a popped key never returns.
+
+    If q exists, in each variable its exponents lie between p's least minus
+    d's least and p's greatest minus d's greatest.  Every quotient term is
+    checked against that box, with the same top-bit test as ``_extremes``;
+    one outside it, or a coefficient that does not divide, raises
+    NonzeroRemainder.  The box is finite, so a non-multiple stops within the
+    operands' exponents, and since every quotient term lies in it, every
+    remainder key stays within p's fieldwise range and never overflows.
     """
     global nonzero_remainder_count
     if d.is_zero():
@@ -428,10 +514,13 @@ def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     if p.is_zero():
         return LaurentPoly.zero()
 
-    packing = _Packing([list(p._terms), list(d._terms)])
-    guards = packing.guards
-    R = packing.shifted(p._terms, 0)
-    (lt_d, c_d), *rest = sorted(packing.shifted(d._terms, 1).items(), reverse=True)
+    w = max(p._w, d._w)
+    R, D = dict(p._at(w)), d._at(w)
+    _, guards = _masks(w)
+    p_lo, p_hi = _extremes(R, w)
+    d_lo, d_hi = _extremes(D, w)
+    lo, hi = p_lo - d_lo, p_hi - d_hi
+    (lt_d, c_d), *rest = sorted(D.items(), reverse=True)
     heap = [-k for k in R]
     heapq.heapify(heap)
     Q: dict[int, int] = {}
@@ -441,28 +530,26 @@ def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
         if not c_r:
             continue
         mono = lt_r - lt_d
-        if mono & guards or c_r % c_d != 0:
+        if ((mono - lo) | (hi - mono)) & guards or c_r % c_d != 0:
             nonzero_remainder_count += 1
             raise NonzeroRemainder(
                 "dividend is not an exact multiple (stuck at term "
-                f"{Monomial(c_r, packing.unpacker(packing.lows[0])(lt_r))})"
+                f"{Monomial(c_r, _exps_of(lt_r, w))})"
             )
         cq = c_r // c_d
         Q[mono] = cq
         for vec, c in rest:
-            w = mono + vec
-            s = R.get(w)
+            k = mono + vec
+            s = R.get(k)
             if s is None:
-                R[w] = -cq * c
-                heapq.heappush(heap, -w)
+                R[k] = -cq * c
+                heapq.heappush(heap, -k)
             elif s != cq * c:
-                R[w] = s - cq * c
+                R[k] = s - cq * c
             else:
-                del R[w]
-
-    low_p, low_d = packing.lows
-    unpack = packing.unpacker({v: low_p.get(v, 0) - low_d.get(v, 0) for v in packing.variables})
-    return LaurentPoly._raw({unpack(k): c for k, c in Q.items()})
+                del R[k]
+    # Quotient digits lie in the box, within [-2**(w-1), 2**(w-1)).
+    return _checked(Q, w)
 
 
 def substitute(p: LaurentPoly, v: VarKey, value: "LaurentPoly | int") -> LaurentPoly:
@@ -477,21 +564,22 @@ def substitute(p: LaurentPoly, v: VarKey, value: "LaurentPoly | int") -> Laurent
     """
     if isinstance(value, int):
         value = LaurentPoly.constant(value)
-    groups: dict[int, dict[Exps, int]] = {}
-    for e, c in p._terms.items():
-        exp = 0
-        rest = []
-        for var, x in e:
-            if var == v:
-                exp = x
-            else:
-                rest.append((var, x))
-        groups.setdefault(exp, {})[tuple(rest)] = c
+    w = p._w
+    f = _field.get(v)
+    groups: dict[int, dict[int, int]] = {}
+    if f is None:  # no polynomial has v yet
+        groups[0] = p._terms
+    else:
+        bias, _ = _masks(w)
+        at, mask, h = w * f, (1 << w) - 1, 1 << (w - 2)
+        for k, c in p._terms.items():
+            exp = (((k + bias) >> at) & mask) - h
+            groups.setdefault(exp, {})[k - (exp << at)] = c
     shift = max(0, -min(groups, default=0))
     # One summand per exponent of v, a handful, so summing them copies each
     # term a bounded number of times.
     assembled = sum(
-        (LaurentPoly._raw(part) * value ** (e + shift) for e, part in groups.items()),
+        (LaurentPoly._raw(part, w) * value ** (e + shift) for e, part in groups.items()),
         LaurentPoly.zero(),
     )
     return div_exact(assembled, value**shift) if shift else assembled
@@ -501,33 +589,86 @@ def evaluate(p: LaurentPoly, assign: Mapping[VarKey, "Fraction | int"]) -> Fract
     """Evaluate exactly at a rational point.
 
     Zero values are only allowed for variables appearing with nonnegative
-    exponents; every variable of p must be assigned.
+    exponents; every variable of p must be assigned.  Each term's value has a
+    denominator dividing L, the product over the variables of (denominator
+    to the greatest exponent) times (numerator to minus the least), so the
+    terms are summed as integers over L.
     """
-    total = Fraction(0)
-    for e, c in p._terms.items():
-        val = Fraction(c)
+    if not p:
+        return Fraction(0)
+    least, greatest = (dict(_exps_of(k, p._w)) for k in _extremes(p._terms, p._w))
+    ratio = {}
+    L = 1
+    for v in sorted(least.keys() | greatest.keys()):
+        low, high = min(least.get(v, 0), 0), max(greatest.get(v, 0), 0)
+        if v not in assign:
+            raise UnassignedVariable(var_name(v))
+        value = Fraction(assign[v])
+        if value == 0 and low < 0:
+            raise ZeroToNegativePower(var_name(v))
+        a, b = ratio[v] = value.numerator, value.denominator
+        L *= b**high * a**-low
+    total = 0
+    for e, c in p._decoded():
+        num, den = c, 1
         for v, x in e:
-            if v not in assign:
-                raise UnassignedVariable(var_name(v))
-            base = Fraction(assign[v])
-            if base == 0 and x < 0:
-                raise ZeroToNegativePower(var_name(v))
-            val *= base**x
-        total += val
-    return total
+            a, b = ratio[v]
+            if x > 0:
+                num, den = num * a**x, den * b**x
+            else:
+                num, den = num * b**-x, den * a**-x
+        total += num * (L // den)
+    return Fraction(total, L)
 
 
 def rename_variables(p: LaurentPoly, mapping: Mapping[VarKey, VarKey]) -> LaurentPoly:
     """Rename variables (possibly merging several into one), collecting terms."""
-    return LaurentPoly((c, [(mapping.get(v, v), x) for v, x in e]) for e, c in p._terms.items())
+    return LaurentPoly((c, [(mapping.get(v, v), x) for v, x in e]) for e, c in p._decoded())
+
+
+def collapse_tags(
+    p: LaurentPoly,
+    tags: Sequence[int],
+    image: Callable[[tuple[int, ...]], Iterable[tuple[VarKey, int]]],
+) -> LaurentPoly:
+    """Replace, in each term, the variables with the given tags by one monomial.
+
+    ``image(sums)`` gives that monomial's (variable, exponent) pairs, where
+    ``sums[t]`` is the term's total exponent over the variables with tag
+    ``tags[t]``.  Terms that meet are collected.  The sums are read off each
+    key's fields and the variables erased with one mask, without decoding.
+    """
+    w = p._w
+    bias, _ = _masks(w)
+    h = 1 << (w - 2)
+    fields = p._fields()
+    groups = [[f for f in fields if _variables[f][0] == tag] for tag in tags]
+    erase = sum(((1 << w) - 1) << (w * f) for group in groups for f in group)
+    keep = bias & ~erase
+    rows = []
+    for k, c in p._terms.items():
+        u = k + bias
+        digits = _digits(u, w)
+        pairs = list(image(tuple(sum(digits[f] for f in g) - h * len(g) for g in groups)))
+        rows.append(((u & ~erase) - keep, pairs, c))
+    wide = _width_for(x for _, pairs, _ in rows for _, x in pairs)
+    if wide > w:
+        return collapse_tags(LaurentPoly._raw(p._at(wide), wide), tags, image)
+    out: dict[int, int] = {}
+    for rest, pairs, c in rows:
+        k = rest + sum(x << (w * _intern(v)) for v, x in pairs)
+        s = out.get(k, 0) + c
+        if s:
+            out[k] = s
+        else:
+            del out[k]
+    # Each digit is a stored one plus an image exponent, both in [-2**(w-2), 2**(w-2)).
+    return _checked(out, w)
 
 
 def drop_variables(p: LaurentPoly, tags: Iterable[int]) -> LaurentPoly:
     """Erase all variables with the given tags (set them to 1), collecting terms."""
-    tagset = frozenset(tags)
-    return LaurentPoly(
-        (c, [(v, x) for v, x in e if v[0] not in tagset]) for e, c in p._terms.items()
-    )
+    return collapse_tags(p, tuple(tags), lambda sums: ())
 
 
 def to_json(p: LaurentPoly) -> dict:

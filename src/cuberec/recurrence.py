@@ -51,7 +51,6 @@ from .laurent import (
     TAG_B,
     TAG_C,
     LaurentPoly,
-    Monomial,
     VarKey,
     avar,
     bvar,
@@ -211,29 +210,17 @@ def abc_from_edge_vars(p: LaurentPoly) -> LaurentPoly:
     halved at the end; odd parity raises HalfIntegerExponent.
     """
 
-    def mapped(m):
-        na = nb = nc = 0
-        rest = []
-        for v, x in m.exps:
-            tag = v[0]
-            if tag == TAG_A:
-                na += x
-            elif tag == TAG_B:
-                nb += x
-            elif tag == TAG_C:
-                nc += x
-            else:
-                rest.append((v, x))
+    def halved(degrees):
+        na, nb, nc = degrees
         doubled = (nb + nc - na, nc + na - nb, na + nb - nc)
         for d in doubled:
             if d % 2 != 0:
-                raise HalfIntegerExponent(f"odd doubled exponent {doubled} in {m}")
-        for var, d in zip((ALPHA, BETA, GAMMA), doubled):
-            if d:
-                rest.append((var, d // 2))
-        return (m.coeff, rest)
+                raise HalfIntegerExponent(
+                    f"odd doubled exponent {doubled} from edge-variable degrees {degrees}"
+                )
+        return [(var, d // 2) for var, d in zip((ALPHA, BETA, GAMMA), doubled) if d]
 
-    return LaurentPoly(mapped(Monomial(c, e)) for e, c in p._terms.items())
+    return laurent.collapse_tags(p, (TAG_A, TAG_B, TAG_C), halved)
 
 
 def f_numeric(

@@ -165,7 +165,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 
 def test_library_usage_errors_exit_2_with_one_line(tmp_path, capsys):
+    ic_file = tmp_path / "standard3.json"
+    ic_file.write_text(json.dumps(lattice.to_json(lattice.standard(3))))
+    both = ["--preset", "standard:2", "--ic-file", str(ic_file)]
     argvs = {
+        "compute-preset-and-ic-file": ["compute", *both, "--mode", "all-ones"],
+        "enumerate-preset-and-ic-file": ["enumerate", *both],
+        "render-preset-and-ic-file": ["render", "lattice", *both],
+        "verify-negative-brute-cap": ["verify", "--preset", "standard:2", "--brute-cap", "-1"],
+        "enumerate-negative-brute-cap": ["enumerate", "--preset", "standard:2",
+                                         "--method", "brute-force", "--brute-cap", "-1"],
         "render-asm-kleber": ["render", "asm", "--preset", "kleber:2,2,2"],
         "render-cutoff-0": ["render", "lattice", "--preset", "standard:3", "--cutoff", "0"],
         "brute-force-cutoff-0": ["enumerate", "--preset", "standard:3",

@@ -23,11 +23,12 @@ from cuberec.groves import (
     grove_sum,
     is_acyclic,
     monomial_of,
+    quadrant_sums,
     simplified_components,
     stats,
     to_simplified,
 )
-from cuberec.laurent import TAG_X, Monomial, avar, cvar, exps_from_items, xvar
+from cuberec.laurent import TAG_X, LaurentPoly, Monomial, avar, cvar, exps_from_items, xvar
 from cuberec.lattice import CutoffNotOdd, InitialConditions, NotACutoff, Rhombus
 
 EMPTY = InitialConditions(())
@@ -93,6 +94,7 @@ def test_check_grove_compactness():
     base = monomial_of(base_grove(EMPTY)).exps
     expected = exps_from_items([*base, (avar(-2, -2), 1)])
     assert monomial_of(deep) == Monomial(1, expected)
+    assert grove_sum([deep, deep]) == LaurentPoly.monomial(2, expected)
 
 
 def test_boundary_class_counts():
@@ -295,6 +297,21 @@ def test_coeffone_sums_beyond_window():
     for g in enumerate_local_moves(ONE_STEP):
         for r in deep:
             assert coeffone_sums(g, r) == 0
+
+
+def test_quadrant_sums_agree_with_coeffone_sums_on_random_ics():
+    rng = random.Random(4711)
+    checked = 0
+    for ic in [random_ic(rng, depth=1, boxes=4) for _ in range(12)] + [lattice.kleber(2, 3, 2)]:
+        rhombi = set(ic.rhombi_in_J(ic.min_cutoff))
+        for g in enumerate_local_moves(ic):
+            sums = quadrant_sums(g)
+            assert set(sums) == rhombi, ic
+            for r, s in sums.items():
+                assert s == coeffone_sums(g, r), (ic, g, r)
+                assert s == (-1 if r in g.long_edges else 0), (ic, g, r)
+            checked += len(sums)
+    assert checked > 1000
 
 
 def test_simplified_roundtrip_and_components():

@@ -1,7 +1,13 @@
 """Exact polynomial arithmetic: spec examples, ring axioms, serialization."""
 
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +16,7 @@ from cuberec.laurent import (
     ALPHA,
     T,
     LaurentPoly,
+    Monomial,
     NonzeroRemainder,
     UnassignedVariable,
     ZeroToNegativePower,
@@ -230,16 +237,25 @@ def test_div_exact_at_field_width_boundaries():
 def test_div_exact_non_multiples_count_once():
     x, y = v(X), v(Y)
     three = LaurentPoly.constant(3)
+    # Fresh variables, first used in this order, so s leads r and t leads s
+    # in the stored order.  Quotient terms chosen by that order alone would
+    # run on (s/r, -s/r**2, ...) until an exponent outgrew its field; each
+    # division must stop at its first term outside the exponent box.
+    r, s, t = (v(xvar(90 + i, 0, 0)) for i in range(3))
     cases = [
-        (y, x + 1),                  # the leading exponents do not divide
-        (2 * x + 2, three),          # the leading coefficients do not divide
-        (x * x + y, x + 1),          # stuck after one quotient term
+        (y, x + 1, None),            # the leading exponents do not divide
+        (2 * x + 2, three, None),    # the leading coefficients do not divide
+        (x * x + y, x + 1, None),    # stuck after one quotient term
+        (s + 1, r + 1, "x(91,0,0)"),          # s/r would need r**-1
+        (t * r + s + 1, r + 1, "-x(92,0,0)"),  # stuck after the quotient term t
     ]
-    for p, d in cases:
+    for p, d, stuck in cases:
         before = laurent.nonzero_remainder_count
-        with pytest.raises(NonzeroRemainder):
+        with pytest.raises(NonzeroRemainder) as err:
             div_exact(p, d)
         assert laurent.nonzero_remainder_count == before + 1, (p, d)
+        if stuck:
+            assert str(err.value).endswith(f"(stuck at term {stuck})"), err.value
 
 
 def test_canonical_term_order_is_graded_lex():
@@ -248,7 +264,9 @@ def test_canonical_term_order_is_graded_lex():
     index = {var: i for i, var in enumerate(sorted(pool))}
     for _ in range(50):
         p = _random_poly(rng, pool, max_terms=8)
-        order = laurent.canonical_term_order(p._terms)
+        exps = [m.exps for m in p.terms()]
+        shuffled = rng.sample(exps, len(exps))
+        order = laurent.canonical_term_order(shuffled)
 
         def grlex(e):
             vec = [0] * len(pool)
@@ -256,7 +274,8 @@ def test_canonical_term_order_is_graded_lex():
                 vec[index[var]] = x
             return (sum(vec), vec)
 
-        assert [grlex(e) for e in order] == sorted(map(grlex, p._terms), reverse=True)
+        assert [grlex(e) for e in order] == sorted(map(grlex, shuffled), reverse=True)
+        assert order == exps
 
 
 def test_div_exact_matches_sympy():
@@ -290,3 +309,97 @@ def test_div_exact_matches_sympy():
                 div_exact(p, d)
         checked += 1
     assert 30 <= multiples < checked
+
+
+# A width w stores exponents in [-2**(w-2), 2**(w-2)) and starts at 8 bits;
+# past 64 bits the fields are read by shifts instead of as machine ints.
+WIDTH_BOUNDARIES = (2**6, 2**14, 2**30, 2**62, 2**126)
+
+
+def test_products_and_powers_across_width_boundaries():
+    x, y = v(X), v(Y)
+    for h in WIDTH_BOUNDARIES:
+        assert v(X, h - 1)._w < v(X, h)._w == v(X, -h - 1)._w
+        assert v(X, -h)._w == v(X, h - 1)._w
+        for e in (h - 1, -h):  # the last exponents of a width, each side
+            step = 1 if e > 0 else -1
+            grown = v(X, e) * v(X, step)
+            assert grown._w > v(X, e)._w
+            assert grown.terms() == [Monomial(1, ((X, e + step),))]
+            assert grown * v(X, -step) == v(X, e)
+            p = (v(X, e) + y) * (x - y)
+            assert p == LaurentPoly([(1, [(X, e + 1)]), (-1, [(X, e), (Y, 1)]),
+                                     (1, [(X, 1), (Y, 1)]), (-1, [(Y, 2)])])
+        half = v(X, h // 2)
+        assert half**2 == v(X, h) and (half * x) ** 2 == v(X, h + 2)
+        assert (half + y) ** 2 == v(X, h) + 2 * half * y + v(Y, 2)
+        assert (v(X, -h // 2) - 1) ** 2 == v(X, -h) - 2 * v(X, -h // 2) + 1
+
+
+def test_substitute_and_div_exact_across_width_boundaries():
+    x, y = v(X), v(Y)
+    for h in WIDTH_BOUNDARIES:
+        assert substitute(v(X, 2) * y, X, v(Y, h // 2)) == v(Y, h + 1)
+        assert substitute(v(X, -1) + y, X, v(Y, h)) == v(Y, -h) + y
+        value = y + v(T, h // 2)
+        assert substitute(v(X, 2), X, value) == v(Y, 2) + 2 * y * v(T, h // 2) + v(T, h)
+        assert substitute(v(X, -2) * value**2, X, value) == 1
+        with pytest.raises(NonzeroRemainder):
+            substitute(v(X, -1), X, value)
+        for e in (h - 1, h, -h, -h - 1):
+            q = v(X, e) * y + v(Y, e) - 1
+            d = x - y
+            assert div_exact(q * d, d) == q
+            assert div_exact(q * d, q) == d
+            assert div_exact(q * v(X, -e), v(X, -e)) == q
+            # t/x or t/y leaves the box of exact quotient exponents at once.
+            # (y**(e+1)/d would stop too, but only after about e quotient terms.)
+            with pytest.raises(NonzeroRemainder):
+                div_exact(q * d + v(T, e), d)
+
+
+def test_equal_polynomials_hash_alike_across_widths():
+    x, y = v(X), v(Y)
+    wide_x = v(X, 64) * v(X, -63)
+    assert wide_x._w > x._w
+    assert wide_x == x and x == wide_x and hash(wide_x) == hash(x)
+    assert len({wide_x, x}) == 1
+    wide_one = v(X, 64) * v(X, -64)
+    assert wide_one._w > x._w
+    assert wide_one == 1 and hash(wide_one) == hash(1) == hash(LaurentPoly.one())
+    p = x * v(Y, -3) + 2 * y - 5
+    big = v(T, 2**40)
+    wide_p = p * big * v(T, -(2**40))
+    assert wide_p._w > p._w
+    assert wide_p == p and hash(wide_p) == hash(p) and len({p, wide_p}) == 1
+    assert wide_p != p + 1 and wide_p != p * big
+    assert wide_p - p == 0 and not (wide_p - p)
+
+
+def test_json_bytes_and_pickles_do_not_depend_on_interning_order():
+    from cuberec import lattice, recurrence
+
+    ic = lattice.standard(3)
+    p = recurrence.f_symbolic(ic) + v(X, -70) * v(T, 3)
+    names = [var_name(var) for var in p.variables()]
+    expected = json.dumps(laurent.to_json(p))
+    script = (
+        "import json, pickle, sys\n"
+        "from cuberec import lattice, laurent, recurrence\n"
+        "names = json.loads(sys.argv[1])\n"
+        "for name in names:\n"
+        "    laurent.LaurentPoly.variable(laurent.parse_var(name))\n"
+        "assert [laurent.var_name(var) for var in laurent._variables] == names\n"
+        "p = recurrence.f_symbolic(lattice.standard(3))\n"
+        "x, t = laurent.xvar(0, 0, 0), laurent.T\n"
+        "p = p + laurent.LaurentPoly.monomial(1, [(x, -70), (t, 3)])\n"
+        "assert pickle.loads(bytes.fromhex(sys.argv[2])) == p\n"
+        "print(json.dumps(laurent.to_json(p)))\n"
+    )
+    src = str(Path(laurent.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    pickled = pickle.dumps(p).hex()
+    for order in (names[::-1], names):
+        out = subprocess.run([sys.executable, "-c", script, json.dumps(order), pickled],
+                             env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == expected

@@ -118,6 +118,17 @@ def test_numeric_matches_symbolic_on_random_assignments():
             assert evaluate(poly, assign) == f_numeric(ic, assign)
 
 
+def test_symbolic_standard6_counts_groves_and_matches_numeric():
+    # 3**9 groves, each a distinct term of coefficient 1.
+    ic = lattice.standard(6)
+    poly = f_symbolic(ic)
+    assert len(poly) == 3**9
+    assert set(poly.coefficients()) == {1}
+    rng = random.Random(6)
+    assign = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in poly.variables()}
+    assert evaluate(poly, assign) == f_numeric(ic, assign)
+
+
 def test_numeric_division_by_zero_reports_point():
     assign = {v: 1 for v in ONE_STEP_POLY.variables()} | {xvar(-1, -1, -1): 0}
     with pytest.raises(DivisionByZeroDuringRecursion) as err:
