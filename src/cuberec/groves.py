@@ -26,6 +26,9 @@ Enumeration comes in two independent flavours:
   configurations (degree 1) collapse to the single all-short successor.  The
   sum of grove monomials then transforms exactly like the recurrence
   substitution, which is what ties the enumeration to the polynomial.
+  The moves run over int masks, one bit per rhombus met, so each step is a
+  table lookup and two bit operations per grove; count_local_moves, behind
+  the Gale-Robinson certificates, counts the masks without building a Grove.
 
 * enumerate_bruteforce searches every long/short choice over the window
   rhombi and keeps those passing the connectivity check; it exists purely as
@@ -38,7 +41,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import comb
-from typing import Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .laurent import (
     TAG_A,
@@ -75,6 +78,15 @@ class RoundTripMismatch(ValueError):
 
 class TooLarge(RuntimeError):
     pass
+
+
+def _check_contained(ic: InitialConditions, rhombi: Collection[Rhombus]) -> None:
+    """ValueError unless every rhombus is contained in ic."""
+    # Window rhombi are contained; only rhombi outside it need the check.
+    window = _window(ic, ic.min_cutoff).steps if rhombi else {}
+    for r in rhombi:
+        if r not in window and not ic.contains_rhombus(r):
+            raise ValueError(f"rhombus {r} is not contained in the initial conditions")
 
 
 class _DisjointSet:
@@ -121,11 +133,7 @@ class Grove:
     long_edges: frozenset
 
     def __post_init__(self):
-        # Window rhombi are contained; only long edges outside it need the check.
-        window = _window(self.ic, self.ic.min_cutoff).steps if self.long_edges else {}
-        for r in self.long_edges:
-            if r not in window and not self.ic.contains_rhombus(r):
-                raise ValueError(f"rhombus {r} is not contained in the initial conditions")
+        _check_contained(self.ic, self.long_edges)
 
     def sorted_long_edges(self) -> list[Rhombus]:
         return sorted(self.long_edges)
@@ -373,34 +381,71 @@ def quadrant_sums(g: Grove) -> dict[Rhombus, int]:
     return out
 
 
-def _local_step(u: Point3, configs: set[frozenset]) -> set[frozenset]:
-    """Apply the three-rhombus correspondence at the restored point u."""
-    # A long edge moves one step down its axis's free coordinate, which keeps
-    # its edge variable.
-    moved = {Rhombus(a, u): Rhombus(a, _sub(u, _UNIT[t])) for a, (t, _, _) in _AXIS.items()}
-    old_set = frozenset(moved)
-    out: set[frozenset] = set()
-    for cfg in configs:
-        present = cfg & old_set
-        rest = cfg - old_set
-        if not present:
-            for short in old_set:
-                out.add(rest | {moved[r] for r in old_set if r != short})
-        elif len(present) == 1:
-            out.add(rest | {moved[r] for r in present})
-        elif len(present) == 2:
-            out.add(rest)
-        else:
-            raise CorrespondenceMismatch(f"all three long edges present at {u}")
+def _local_move_masks(ic: InitialConditions) -> tuple[list[Rhombus], set[int]]:
+    """Every grove's long edges as an int mask over rhombi, by local moves.
+
+    Bit t of a mask stands for rhombi[t]; bits are handed out the first time
+    a rhombus is met along the reversed peel sequence.
+    """
+    rhombi: list[Rhombus] = []
+    bits: dict[Rhombus, int] = {}
+
+    def bit(r: Rhombus) -> int:
+        b = bits.get(r)
+        if b is None:
+            b = bits[r] = 1 << len(rhombi)
+            rhombi.append(r)
+        return b
+
+    masks = {0}
+    for u in reversed(ic.peel_sequence()):
+        # The rhombi at u and where each one's long edge moves: one step down
+        # its axis's free coordinate, which keeps its edge variable.
+        (ha, da), (hb, db), (hc, dc) = (
+            (bit(Rhombus(axis, u)), bit(Rhombus(axis, _sub(u, _UNIT[t]))))
+            for axis, (t, _, _) in _AXIS.items()
+        )
+        old = ha | hb | hc
+        successors = {
+            0: (db | dc, da | dc, da | db),
+            ha: (da,), hb: (db,), hc: (dc,),
+            ha | hb: (0,), ha | hc: (0,), hb | hc: (0,),
+        }
+        keep = ~old
+        try:
+            masks = {(m & keep) | d for m in masks for d in successors[m & old]}
+        except KeyError:
+            raise CorrespondenceMismatch(f"all three long edges present at {u}") from None
+    return rhombi, masks
+
+
+def _rhombi_of(rhombi: list[Rhombus], mask: int) -> list[Rhombus]:
+    """The rhombi of mask's set bits, lowest bit first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(rhombi[low.bit_length() - 1])
+        mask ^= low
     return out
 
 
 def enumerate_local_moves(ic: InitialConditions) -> set[Grove]:
     """All groves, built by local moves along the reversed peel sequence."""
-    configs: set[frozenset] = {frozenset()}
-    for u in reversed(ic.peel_sequence()):
-        configs = _local_step(u, configs)
-    return {Grove(ic, cfg) for cfg in configs}
+    rhombi, masks = _local_move_masks(ic)
+    return {Grove(ic, frozenset(_rhombi_of(rhombi, m))) for m in masks}
+
+
+def count_local_moves(ic: InitialConditions) -> int:
+    """len(enumerate_local_moves(ic)), counted as masks without building a Grove.
+
+    Containment is checked once, on the union of every grove's long edges.
+    """
+    rhombi, masks = _local_move_masks(ic)
+    used = 0
+    for m in masks:
+        used |= m
+    _check_contained(ic, _rhombi_of(rhombi, used))
+    return len(masks)
 
 
 def enumerate_bruteforce(

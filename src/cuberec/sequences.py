@@ -135,7 +135,8 @@ def gr_certificate(spec: GaleRobinsonSpec, l: int) -> GrCertificate:
 
     The counting side always uses the all-ones specialization (unit
     coefficients and unit initial terms), which is where terms count groves,
-    so ``spec.alpha`` etc. play no part.  The expected size is pre-computed
+    so ``spec.alpha`` etc. play no part.  The groves are counted as local-move
+    masks, and no Grove is built.  The expected size is pre-computed
     numerically; enumeration beyond ``_MAX_GROVES`` raises TooLarge.
     """
     value = gr_terms(GaleRobinsonSpec(spec.p, spec.q, spec.r), l + 1)[l]
@@ -145,7 +146,7 @@ def gr_certificate(spec: GaleRobinsonSpec, l: int) -> GrCertificate:
         raise groves.TooLarge(
             f"term y_{l} counts {expected} groves, above the {_MAX_GROVES} bound"
         )
-    count = len(groves.enumerate_local_moves(ic))
+    count = groves.count_local_moves(ic)
     return GrCertificate(
         l=l,
         recursion_value=value,

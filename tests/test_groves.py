@@ -15,6 +15,7 @@ from cuberec.groves import (
     boundary_classes,
     check_grove,
     coeffone_sums,
+    count_local_moves,
     enumerate_bruteforce,
     enumerate_local_moves,
     from_simplified,
@@ -30,6 +31,7 @@ from cuberec.groves import (
 )
 from cuberec.laurent import TAG_X, LaurentPoly, Monomial, avar, cvar, exps_from_items, xvar
 from cuberec.lattice import CutoffNotOdd, InitialConditions, NotACutoff, Rhombus
+from cuberec.sequences import SOMOS7, gr_certificate
 
 EMPTY = InitialConditions(())
 ONE_STEP = InitialConditions([(0, 0, 0)])
@@ -127,6 +129,23 @@ def test_enumeration_checks_containment_once_per_ideal(monkeypatch):
     assert calls <= 3 * len(ic.points_in_J()) == 192
 
 
+def test_local_moves_check_containment_of_every_used_rhombus(monkeypatch):
+    # One rhombus that groves use counts as outside the initial conditions.
+    # Fresh ideals build their windows without it, so both enumeration (each
+    # Grove) and counting (the union of the masks) must refuse it.
+    gs = enumerate_local_moves(lattice.gale_robinson(4, 1, 2, 11))
+    outside = min(set().union(*(g.long_edges for g in gs)))
+    contains = InitialConditions.contains_rhombus
+    monkeypatch.setattr(InitialConditions, "contains_rhombus",
+                        lambda self, r: r != outside and contains(self, r))
+    with pytest.raises(ValueError, match="not contained"):
+        enumerate_local_moves(lattice.gale_robinson(4, 1, 2, 11))
+    with pytest.raises(ValueError, match="not contained"):
+        count_local_moves(lattice.gale_robinson(4, 1, 2, 11))
+    with pytest.raises(ValueError, match="not contained"):
+        gr_certificate(SOMOS7, 11)
+
+
 def test_grove_views_read_the_window_tables(monkeypatch):
     # Once the windows are built, no per-grove view recomputes a rhombus's edges.
     ic = lattice.standard(4)
@@ -213,6 +232,73 @@ def test_bruteforce_oracle_random_ics():
         brute = enumerate_bruteforce(ic, cap=80)
         local = enumerate_local_moves(ic)
         assert {g.long_edges for g in brute} == {g.long_edges for g in local}
+
+
+def test_local_moves_match_bruteforce_or_count_on_random_ics():
+    rng = random.Random(10)
+    checked = counted = 0
+    for _ in range(16):
+        ic = random_ic(rng)
+        local = enumerate_local_moves(ic)
+        assert count_local_moves(ic) == len(local)
+        try:
+            brute = enumerate_bruteforce(ic, cap=45)
+        except TooLarge:
+            assert len(local) == recurrence.f_numeric(ic), ic
+            counted += 1
+            continue
+        assert {g.long_edges for g in brute} == {g.long_edges for g in local}, ic
+        checked += 1
+    assert checked and counted
+
+
+def _rhombi(*specs):
+    return frozenset(Rhombus(axis, top) for axis, top in specs)
+
+
+def test_local_move_cases():
+    # standard(2) is ONE_STEP: all three short edges at the origin give three
+    # successors, each with two of the three long edges moved down.
+    a, b, c = ("a", (-1, 0, 0)), ("b", (0, -1, 0)), ("c", (0, 0, -1))
+    one_step = {_rhombi(b, c), _rhombi(a, c), _rhombi(a, b)}
+    assert lattice.standard(2) == ONE_STEP
+    assert {g.long_edges for g in enumerate_local_moves(ONE_STEP)} == one_step
+    # Restoring (-1,0,0): a long edge there moves down its free coordinate,
+    # and the grove with none there splits in three.
+    two = InitialConditions([(0, 0, 0), (-1, 0, 0)])
+    a2, b2, c2 = ("a", (-2, 0, 0)), ("b", (-1, -1, 0)), ("c", (-1, 0, -1))
+    assert {g.long_edges for g in enumerate_local_moves(two)} == {
+        _rhombi(a2, c), _rhombi(a2, b),
+        _rhombi(b, c, b2, c2), _rhombi(b, c, a2, c2), _rhombi(b, c, a2, b2),
+    }
+
+
+def _successors(u, long_edges):
+    """The case table at u, on rhombus sets."""
+    here = {Rhombus(axis, u) for axis in "abc"}
+    moved = {Rhombus(axis, u): Rhombus(axis, tuple(x - (t == i) for i, x in enumerate(u)))
+             for t, axis in enumerate("abc")}
+    present, rest = long_edges & here, long_edges - here
+    if not present:
+        return [rest | {moved[r] for r in here if r != short} for short in here]
+    if len(present) == 1:
+        return [rest | {moved[r] for r in present}]
+    assert len(present) == 2
+    return [rest]
+
+
+def test_local_moves_follow_the_case_table_on_kleber_222():
+    # The last point, (-1,-1,-1), is the first where two long edges meet and
+    # collapse to the all-short successor, so there 81 successors are 65 groves.
+    ic = lattice.kleber(2, 2, 2)
+    order = list(reversed(ic.peel_sequence()))
+    before = {frozenset()}
+    for t, u in enumerate(order, 1):
+        after = {g.long_edges for g in enumerate_local_moves(InitialConditions(order[:t]))}
+        succ = [s for cfg in before for s in _successors(u, cfg)]
+        assert set(succ) == after, u
+        before = after
+    assert u == (-1, -1, -1) and (len(succ), len(after)) == (81, 65)
 
 
 def test_window_views_agree_on_random_ics():

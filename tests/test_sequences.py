@@ -64,6 +64,17 @@ def test_certificates_somos6():
         assert cert.count_match and cert.grove_count == expected
 
 
+def test_certificates_count_masks_up_to_somos7_l16():
+    counts = {}
+    for spec, ls in ((SOMOS7, range(12, 17)), (SOMOS6, range(11, 14))):
+        terms = gr_terms(spec, ls[-1] + 1)
+        for l in ls:
+            cert = gr_certificate(spec, l)
+            assert cert.count_match and cert.grove_count == terms[l], (spec, l)
+            counts[spec, l] = cert.grove_count
+    assert counts[SOMOS7, 16] == 34081 and counts[SOMOS6, 13] == 5047
+
+
 def test_symbolic_first_nontrivial_term():
     spec = GaleRobinsonSpec(1, 1, 1)
     y0, y1, y2 = (LaurentPoly.variable(yvar(m)) for m in range(3))
