@@ -95,7 +95,16 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _sorted_groves(gs) -> list[groves.Grove]:
-    return sorted(gs, key=lambda g: tuple(g.sorted_long_edges()))
+    """Groves of one ideal, ordered as their sorted long-edge lists by ranks read from the masks.
+
+    With no long edge beyond the window, as in every enumeration, a rank is a bit index.
+    """
+    gs = list(gs)
+    rhombi = [r for g in gs[:1] for r in groves._window(g.ic, g.ic.min_cutoff).rhombi]
+    rank = {r: t for t, r in enumerate(sorted({*rhombi, *(r for g in gs for r in g.outside)}))}
+    bit_rank = [rank[r] for r in rhombi]
+    return sorted(gs, key=lambda g: sorted(
+        groves._at_bits(bit_rank, g.mask) + [rank[r] for r in g.outside]))
 
 
 def cmd_compute(args) -> int:
@@ -135,19 +144,13 @@ def cmd_sequence(args) -> int:
         raise _usage_error("--certify-up-to must be >= 0")
     p, q, r = args.gr
     try:
-        spec = sequences.GaleRobinsonSpec(
-            p, q, r,
-            alpha=Fraction(args.alpha), beta=Fraction(args.beta), gamma=Fraction(args.gamma),
-        )
+        coeffs = Fraction(args.alpha), Fraction(args.beta), Fraction(args.gamma)
+        spec = sequences.GaleRobinsonSpec(p, q, r, *coeffs)
         terms = sequences.gr_terms(spec, args.count)
     except (ValueError, ZeroDivisionError) as exc:
         raise _usage_error(f"sequence: {exc}")
-    report = {
-        "p": p, "q": q, "r": r,
-        "terms": [
-            {"value": str(t), "integral": sequences.is_integral(t)} for t in terms
-        ],
-    }
+    report = {"p": p, "q": q, "r": r,
+              "terms": [{"value": str(t), "integral": sequences.is_integral(t)} for t in terms]}
     ok = True
     if args.certify_up_to is not None:
         certs = []
@@ -157,12 +160,8 @@ def cmd_sequence(args) -> int:
             except groves.TooLarge as exc:
                 raise _usage_error(f"--certify-up-to {args.certify_up_to}: {exc}")
             ok = ok and cert.count_match
-            certs.append({
-                "l": cert.l,
-                "recursion": str(cert.recursion_value),
-                "groves": cert.grove_count,
-                "match": cert.count_match,
-            })
+            certs.append({"l": cert.l, "recursion": str(cert.recursion_value),
+                          "groves": cert.grove_count, "match": cert.count_match})
         report["certificates"] = certs
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0 if ok else 1
@@ -172,9 +171,12 @@ def _pick_grove(args, ic: lattice.InitialConditions) -> groves.Grove:
     if args.grove_file:
         try:
             with open(args.grove_file) as fh:
-                return groves.grove_from_json(ic, json.loads(fh.readline()))
+                g = groves.grove_from_json(ic, json.loads(fh.readline()))
         except (OSError, ValueError) as exc:
             raise _usage_error(f"bad --grove-file {args.grove_file}: {exc}")
+        if (violation := groves.check_grove(g)) is not None:
+            raise _usage_error(f"bad --grove-file {args.grove_file}: not a grove, {violation}")
+        return g
     gs = _sorted_groves(groves.enumerate_local_moves(ic))
     if not 0 <= args.grove_index < len(gs):
         raise _usage_error(f"grove index out of range 0..{len(gs)-1}")
@@ -183,11 +185,8 @@ def _pick_grove(args, ic: lattice.InitialConditions) -> groves.Grove:
 
 def cmd_render(args) -> int:
     try:
-        opts = render.RenderOptions(
-            scale=args.scale,
-            layers=frozenset(args.layers.split(",")) if args.layers else render.DEFAULT_LAYERS,
-            N=args.cutoff,
-        )
+        layers = frozenset(args.layers.split(",")) if args.layers else render.DEFAULT_LAYERS
+        opts = render.RenderOptions(scale=args.scale, layers=layers, N=args.cutoff)
     except ValueError as exc:
         raise _usage_error(f"render: {exc}")
     ic = _load_ics(args)[0]
@@ -235,10 +234,9 @@ def _prop_oracle(ic, ctx):
         brute = groves.enumerate_bruteforce(ic, cap=ctx["brute_cap"])
     except groves.TooLarge as exc:
         return Skipped(f"{exc} (--brute-cap)")
-    mine = {g.long_edges for g in ctx["groves"]}
-    theirs = {g.long_edges for g in brute}
-    if mine != theirs:
-        return f"local moves found {len(mine)} groves, brute force {len(theirs)}"
+    mine = set(ctx["groves"])  # groves compare as masks
+    if mine != brute:
+        return f"local moves found {len(mine)} groves, brute force {len(brute)}"
     return None
 
 
@@ -268,8 +266,8 @@ def _prop_coeffone(ic, ctx):
     if bad:
         return f"non-unit coefficients {bad[:5]}"
     for g in ctx["groves"]:
-        for r, s in groves.quadrant_sums(g).items():
-            expected = -1 if r in g.long_edges else 0
+        for t, (r, s) in enumerate(groves.quadrant_sums(g).items()):  # r has bit t
+            expected = -(g.mask >> t & 1)
             if s != expected:
                 return f"quadrant sum {s} at {r}, expected {expected}"
     return None

@@ -1,10 +1,12 @@
 """Grove representation, verification, and enumeration.
 
-A grove is stored as the set of rhombi whose long edge it uses; every other
-rhombus of the initial conditions contributes its short edge.  That finite
-set determines the whole infinite subgraph, and the associated monomial
+A grove is stored as an int mask: bit t is set when it uses the long edge of
+the t-th rhombus of the minimal window, in sorted order; every other rhombus
+contributes its short edge, and long edges beyond the window (only a
+hand-built grove has them) sit in a frozenset beside the mask.  That finite
+choice determines the whole infinite subgraph, and the associated monomial
 (product of long-edge variables times x**(degree-2) over all vertices)
-determines the grove in turn.
+determines the grove in turn.  The rhombi are decoded only on request.
 
 Verification works on the finite window of radius N: the window has
 3*C(N+3,2)+1 vertices and 3*C(N+2,2) rhombi, each contributing exactly one
@@ -13,8 +15,7 @@ choice of edges extends to a grove exactly when the resulting graph is a
 forest whose components pair up one-to-one with the 3N+7 boundary classes.
 What all groves of one ideal share at one radius is built once (_window).
 A long edge in place of a short one multiplies the monomial by a fixed step,
-so a grove's monomial is the base grove's times its steps; a grove caches it,
-as exponents for its views and as a packed key for sums.
+so a grove's monomial is the base grove's times the steps of its set bits.
 
 Enumeration comes in two independent flavours:
 
@@ -25,10 +26,9 @@ Enumeration comes in two independent flavours:
   the long edge reattached on the same axis below, and the three two-long
   configurations (degree 1) collapse to the single all-short successor.  The
   sum of grove monomials then transforms exactly like the recurrence
-  substitution, which is what ties the enumeration to the polynomial.
-  The moves run over int masks, one bit per rhombus met, so each step is a
-  table lookup and two bit operations per grove; count_local_moves, behind
-  the Gale-Robinson certificates, counts the masks without building a Grove.
+  substitution, which is what ties the enumeration to the polynomial.  Each
+  step is a table lookup and two bit operations per mask, and the final
+  masks are the groves, which count_local_moves only counts.
 
 * enumerate_bruteforce searches every long/short choice over the window
   rhombi and keeps those passing the connectivity check; it exists purely as
@@ -39,8 +39,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
+from operator import or_
 from typing import Collection, Iterable, Iterator, NamedTuple
 
 from .laurent import (
@@ -81,11 +82,9 @@ class TooLarge(RuntimeError):
 
 
 def _check_contained(ic: InitialConditions, rhombi: Collection[Rhombus]) -> None:
-    """ValueError unless every rhombus is contained in ic."""
-    # Window rhombi are contained; only rhombi outside it need the check.
-    window = _window(ic, ic.min_cutoff).steps if rhombi else {}
+    """ValueError unless every rhombus, one beyond the minimal window, is contained in ic."""
     for r in rhombi:
-        if r not in window and not ic.contains_rhombus(r):
+        if not ic.contains_rhombus(r):
             raise ValueError(f"rhombus {r} is not contained in the initial conditions")
 
 
@@ -112,10 +111,8 @@ class _DisjointSet:
         if self.rank[rx] < self.rank[ry]:
             rx, ry = ry, rx
         self.parent[ry] = rx
-        bumped = False
-        if self.rank[rx] == self.rank[ry]:
-            self.rank[rx] += 1
-            bumped = True
+        bumped = self.rank[rx] == self.rank[ry]
+        self.rank[rx] += bumped
         if self.log is not None:
             self.log.append((ry, rx, bumped))
         return True
@@ -123,38 +120,70 @@ class _DisjointSet:
     def undo(self) -> None:
         ry, rx, bumped = self.log.pop()
         self.parent[ry] = ry
-        if bumped:
-            self.rank[rx] -= 1
+        self.rank[rx] -= bumped
 
 
-@dataclass(frozen=True)
 class Grove:
-    ic: InitialConditions
-    long_edges: frozenset
+    """A grove of ic as the mask of its long edges in the minimal window, and those outside.
 
-    def __post_init__(self):
-        _check_contained(self.ic, self.long_edges)
+    Grove(ic, long_edges) raises ValueError for a rhombus not contained in ic.
+    The hash leaves out the ideal, which one set seldom mixes.  Never mutate.
+    """
+
+    __slots__ = ("ic", "mask", "outside", "__dict__")
+
+    def __init__(self, ic: InitialConditions, long_edges: Collection[Rhombus]):
+        edges = _window(ic, ic.min_cutoff).edges
+        longs = set(long_edges)
+        outside = frozenset(r for r in longs if r not in edges)
+        _check_contained(ic, outside)
+        self.ic, self.mask, self.outside = ic, sum(edges[r][2] for r in longs - outside), outside
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Grove):
+            return NotImplemented
+        return self.mask == other.mask and self.outside == other.outside and self.ic == other.ic
+
+    def __hash__(self) -> int:
+        return hash((self.mask, self.outside))
+
+    def __repr__(self) -> str:
+        return f"Grove({self.ic!r}, {self.sorted_long_edges()!r})"
+
+    @cached_property
+    def long_edges(self) -> frozenset:
+        """The rhombi whose long edge the grove uses, decoded from the mask."""
+        return frozenset(self.sorted_long_edges())
 
     def sorted_long_edges(self) -> list[Rhombus]:
-        return sorted(self.long_edges)
+        longs = _at_bits(_window(self.ic, self.ic.min_cutoff).rhombi, self.mask)
+        return sorted(longs + [*self.outside]) if self.outside else longs
 
     @cached_property
     def _monomial(self) -> Monomial:
-        """The base monomial times each long edge's step, or its variable outside the window."""
+        """The base monomial times each set bit's step, and each variable beyond the window."""
         window = _window(self.ic, self.ic.min_cutoff)
-        items = list(window.base.exps)
-        for r in self.long_edges:
-            items += window.steps.get(r) or ((r.variable(), 1),)
+        items = [*window.base.exps, *((r.variable(), 1) for r in self.outside)]
+        for step in _at_bits(window.steps, self.mask):
+            items += step
         return Monomial(1, exps_from_items(items))
 
-    @cached_property
-    def _key(self) -> int:
-        """The same product, packed: the base key plus each long edge's step key."""
-        window = _window(self.ic, self.ic.min_cutoff)
-        step = window.step_keys.get
-        return window.base_key + sum(
-            step(r) or LaurentPoly._key(((r.variable(), 1),)) for r in self.long_edges
-        )
+
+def _grove(ic: InitialConditions, mask: int, outside: frozenset = frozenset()) -> Grove:
+    """The grove of a mask already in the window's bit order; nothing is checked."""
+    g = object.__new__(Grove)
+    g.ic, g.mask, g.outside = ic, mask, outside
+    return g
+
+
+def _at_bits(seq, mask: int) -> list:
+    """seq[t] for each set bit t of mask, lowest bit first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(seq[low.bit_length() - 1])
+        mask ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -189,36 +218,33 @@ def boundary_classes(N: int) -> list[tuple[Point3, ...]]:
     """The 3N+7 vertex classes that index window components, sorted."""
     classes: list[tuple[Point3, ...]] = []
     for s in (-N - 1, -N - 2):
-        p = -1
-        while True:
+        for p in range(-1, s // 2, -1):  # p > q
             q = s - p
-            if p <= q:
-                break
-            classes.append(((0, p, q), (p, 0, q)))
-            classes.append(((p, q, 0), (0, q, p)))
-            classes.append(((q, p, 0), (q, 0, p)))
-            p -= 1
+            classes += [((0, p, q), (p, 0, q)), ((p, q, 0), (0, q, p)), ((q, p, 0), (q, 0, p))]
         if s % 2 == 0:
             h = s // 2
             classes.append(((0, h, h), (h, 0, h), (h, h, 0)))
-        classes.append(((0, 0, s),))
-        classes.append(((0, s, 0),))
-        classes.append(((s, 0, 0),))
+        classes += [((0, 0, s),), ((0, s, 0),), ((s, 0, 0),)]
     if len(classes) != 3 * N + 7:
         raise RuntimeError(f"{len(classes)} boundary classes, expected {3 * N + 7}")
     return sorted(classes)
 
 
 class _Window(NamedTuple):
-    """What every grove of one ideal shares at radius N; never mutate."""
+    """What every grove of one ideal shares at radius N; never mutate.
+
+    The fields from rhombi on are the minimal window's; bit 0 marks a rhombus beyond it.
+    """
 
     index: dict[Point3, int]  # the window points, sorted, to 0..n-1
-    edges: dict[Rhombus, tuple[tuple, tuple]]  # (long, short) of each rhombus, sorted
+    edges: dict[Rhombus, tuple[tuple, tuple, int]]  # (long, short, bit) of each, sorted
     classes: list[tuple[Point3, ...]]
+    rhombi: tuple[Rhombus, ...]  # bit t stands for rhombi[t]
     base: Monomial  # the base grove's, which uses every short edge
-    steps: dict[Rhombus, tuple]  # what each rhombus's long edge multiplies it by
+    steps: list[tuple]  # what bit t's long edge multiplies it by
     base_key: int  # base and steps packed as LaurentPoly keys
-    step_keys: dict[Rhombus, int]
+    step_keys: list[int]
+    axis_masks: dict[str, int]  # the bits of each axis's rhombi
 
 
 def _window(ic: InitialConditions, N: int) -> _Window:
@@ -226,29 +252,35 @@ def _window(ic: InitialConditions, N: int) -> _Window:
 
     def build():
         points = ic.points_in_J(N)
-        edges = {r: (r.long_edge(), r.short_edge()) for r in ic.rhombi_in_J(N)}
+        index = {p: t for t, p in enumerate(points)}
+        minimal = _window(ic, ic.min_cutoff) if N != ic.min_cutoff else None
+        rhombi = minimal.rhombi if minimal else ic.rhombi_in_J(N)
+        bit = {r: 1 << t for t, r in enumerate(rhombi)}.get
+        edges = {r: (r.long_edge(), r.short_edge(), bit(r, 0)) for r in ic.rhombi_in_J(N)}
+        if minimal:
+            return minimal._replace(index=index, edges=edges, classes=boundary_classes(N))
         # Every short edge adds 1 at its ends; at the window points that covers
         # the forced short edges below it, which meet it only at their tops.
         degrees = Counter(p for r in ic.rhombi_touching_J(N) for p in r.short_edge())
         x = {p: xvar(*p) for p in points}
         base = Monomial(1, tuple((x[p], degrees[p] - 2) for p in points if degrees[p] != 2))
-        steps = {
-            r: ((r.variable(), 1), *((x[p], 1) for p in long), *((x[p], -1) for p in short))
-            for r, (long, short) in edges.items()
-        }
-        index = {p: t for t, p in enumerate(points)}
+        steps = [
+            ((r.variable(), 1), *((x[p], 1) for p in long), *((x[p], -1) for p in short))
+            for r, (long, short, _) in edges.items()
+        ]
+        axis_masks = {a: sum(1 << t for t, r in enumerate(rhombi) if r.axis == a) for a in AXES}
         key = LaurentPoly._key
-        step_keys = {r: key(step) for r, step in steps.items()}
-        return _Window(index, edges, boundary_classes(N), base, steps, key(base.exps), step_keys)
+        return _Window(index, edges, boundary_classes(N), rhombi, base, steps,
+                       key(base.exps), [key(step) for step in steps], axis_masks)
 
     return ic.memo(("window", N), build)
 
 
-def _window_edges(g: Grove, window: _Window) -> Iterator[tuple[bool, tuple]]:
-    """The edge g uses on each window rhombus, paired with True when it is the long edge."""
-    longs = g.long_edges
-    for r, (long_edge, short_edge) in window.edges.items():
-        long = r in longs
+def _window_edges(g: Grove, window: _Window) -> Iterator[tuple[int, tuple]]:
+    """The edge g uses on each window rhombus, paired with a true value if it is the long one."""
+    mask, outside = g.mask, g.outside
+    for r, (long_edge, short_edge, bit) in window.edges.items():
+        long = mask & bit if bit else r in outside
         yield long, long_edge if long else short_edge
 
 
@@ -265,7 +297,7 @@ def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
     ic = g.ic
     N = ic.min_cutoff if N is None else N
     window = _window(ic, N)
-    for r in g.long_edges:
+    for r in g.outside:  # the minimal window's rhombi lie within every cutoff
         if sum(r.top) < -N:
             return GroveViolation("compactness", f"long edge of deep rhombus {r}")
 
@@ -278,15 +310,12 @@ def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
             return GroveViolation("class-split", f"class {cls} spans several components")
         root = roots.pop()
         if root in owner:
-            return GroveViolation(
-                "class-shared", f"classes {owner[root]} and {cls} share a component"
-            )
+            shared = f"classes {owner[root]} and {cls} share a component"
+            return GroveViolation("class-shared", shared)
         owner[root] = cls
     components = len({dsu.find(t) for t in range(len(index))})
     if components != 3 * N + 7:
-        return GroveViolation(
-            "component-count", f"{components} components, expected {3 * N + 7}"
-        )
+        return GroveViolation("component-count", f"{components} components, expected {3 * N + 7}")
     return None
 
 
@@ -307,9 +336,10 @@ def grove_degrees(g: Grove) -> dict[Point3, int]:
 
 
 def stats(g: Grove) -> GroveStats:
-    axes = [r.axis for r in g.long_edges]
-    degree = {p: e + 2 for p, e in _x_part(g).items()}
-    return GroveStats(*(axes.count(a) for a in AXES), degree=degree)
+    masks = _window(g.ic, g.ic.min_cutoff).axis_masks
+    beyond = [r.axis for r in g.outside]
+    counts = ((g.mask & masks[a]).bit_count() + beyond.count(a) for a in AXES)
+    return GroveStats(*counts, degree={p: e + 2 for p, e in _x_part(g).items()})
 
 
 def monomial_of(g: Grove) -> Monomial:
@@ -337,8 +367,13 @@ def grove_from_monomial(ic: InitialConditions, m: Monomial) -> Grove:
 
 
 def grove_sum(groves: Iterable[Grove]) -> LaurentPoly:
-    """Sum of grove monomials as a polynomial, added up as packed keys."""
-    return LaurentPoly._from_keys(dict(Counter(g._key for g in groves)))
+    """Sum of grove monomials, added up as packed keys: the base key plus set bits' step keys."""
+    keys = Counter()
+    for g in groves:
+        window = _window(g.ic, g.ic.min_cutoff)
+        beyond = LaurentPoly._key((r.variable(), 1) for r in g.outside)
+        keys[window.base_key + sum(_at_bits(window.step_keys, g.mask)) + beyond] += 1
+    return LaurentPoly._from_keys(dict(keys))
 
 
 def coeffone_sums(g: Grove, r: Rhombus) -> int:
@@ -354,7 +389,7 @@ def coeffone_sums(g: Grove, r: Rhombus) -> int:
 
 
 def quadrant_sums(g: Grove) -> dict[Rhombus, int]:
-    """coeffone_sums(g, r) for every rhombus r of the minimal window, in one pass.
+    """coeffone_sums(g, r) for every rhombus r of the minimal window, in bit order, in one pass.
 
     Per axis, the degree-2 excesses of g's monomial go into a grid over the
     window's two long-edge coordinates, -N-2..0, and a 2-D prefix sum over it
@@ -381,14 +416,16 @@ def quadrant_sums(g: Grove) -> dict[Rhombus, int]:
     return out
 
 
-def _local_move_masks(ic: InitialConditions) -> tuple[list[Rhombus], set[int]]:
-    """Every grove's long edges as an int mask over rhombi, by local moves.
+def _local_move_masks(ic: InitialConditions) -> set[int]:
+    """Every grove's mask (Grove.mask), by local moves.
 
-    Bit t of a mask stands for rhombi[t]; bits are handed out the first time
-    a rhombus is met along the reversed peel sequence.
+    A rhombus beyond the minimal window gets a bit past the window's when it
+    is first met.  Only those bits need a containment check, once, on the
+    union of the masks; a contained rhombus there would break compactness.
     """
-    rhombi: list[Rhombus] = []
-    bits: dict[Rhombus, int] = {}
+    rhombi = list(_window(ic, ic.min_cutoff).rhombi)
+    n = len(rhombi)
+    bits = {r: 1 << t for t, r in enumerate(rhombi)}
 
     def bit(r: Rhombus) -> int:
         b = bits.get(r)
@@ -416,36 +453,21 @@ def _local_move_masks(ic: InitialConditions) -> tuple[list[Rhombus], set[int]]:
             masks = {(m & keep) | d for m in masks for d in successors[m & old]}
         except KeyError:
             raise CorrespondenceMismatch(f"all three long edges present at {u}") from None
-    return rhombi, masks
-
-
-def _rhombi_of(rhombi: list[Rhombus], mask: int) -> list[Rhombus]:
-    """The rhombi of mask's set bits, lowest bit first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(rhombi[low.bit_length() - 1])
-        mask ^= low
-    return out
+    beyond = _at_bits(rhombi, reduce(or_, masks) >> n << n)
+    _check_contained(ic, beyond)
+    if beyond:
+        raise CorrespondenceMismatch(f"long edges {beyond} lie beyond the window")
+    return masks
 
 
 def enumerate_local_moves(ic: InitialConditions) -> set[Grove]:
     """All groves, built by local moves along the reversed peel sequence."""
-    rhombi, masks = _local_move_masks(ic)
-    return {Grove(ic, frozenset(_rhombi_of(rhombi, m))) for m in masks}
+    return {_grove(ic, m) for m in _local_move_masks(ic)}
 
 
 def count_local_moves(ic: InitialConditions) -> int:
-    """len(enumerate_local_moves(ic)), counted as masks without building a Grove.
-
-    Containment is checked once, on the union of every grove's long edges.
-    """
-    rhombi, masks = _local_move_masks(ic)
-    used = 0
-    for m in masks:
-        used |= m
-    _check_contained(ic, _rhombi_of(rhombi, used))
-    return len(masks)
+    """len(enumerate_local_moves(ic)), counted as masks without building a Grove."""
+    return len(_local_move_masks(ic))
 
 
 def enumerate_bruteforce(
@@ -458,25 +480,23 @@ def enumerate_bruteforce(
     class stays connected.  Both conditions prune the search.
     """
     N = ic.min_cutoff if N is None else N
-    index, rhombi, classes, *_ = _window(ic, N)
-    if len(rhombi) > cap:
-        raise TooLarge(f"{len(rhombi)} free rhombi exceed cap {cap}")
+    window = _window(ic, N)
+    index, classes = window.index, window.classes
+    if len(window.edges) > cap:
+        raise TooLarge(f"{len(window.edges)} free rhombi exceed cap {cap}")
 
-    class_of = [-1] * len(index)
+    comp_class = [-1] * len(index)  # class owned by each root's component, -1 if none
     for ci, cls in enumerate(classes):
         for p in cls:
-            class_of[index[p]] = ci
+            comp_class[index[p]] = ci
 
-    edges = []
-    for r in rhombi:
-        lu, lv = r.long_edge()
-        su, sv = r.short_edge()
-        edges.append((r, (index[lu], index[lv]), (index[su], index[sv])))
+    edges = [
+        (r, bit, (index[lu], index[lv]), (index[su], index[sv]))
+        for r, ((lu, lv), (su, sv), bit) in window.edges.items()
+    ]
 
     dsu = _DisjointSet(len(index), keep_log=True)
-    comp_class = class_of[:]  # class owned by each root's component, -1 if none
-    found: list[frozenset] = []
-    chosen: list[Rhombus] = []
+    found: list[tuple[int, tuple]] = []
 
     def attach(u: int, v: int) -> tuple | None:
         """Union u,v; return an undo token, or None when the move is illegal."""
@@ -497,29 +517,25 @@ def enumerate_bruteforce(
         comp_class[root] = old
         dsu.undo()
 
-    def rec(t: int) -> None:
-        if t == len(rhombi):
+    def rec(t: int, mask: int, beyond: tuple) -> None:  # beyond: long edges past the mask
+        if t == len(edges):
             # Forest with compatible merges; classes must each be whole.
             for cls in classes:
                 roots = {dsu.find(index[p]) for p in cls}
                 if len(roots) > 1:
                     return
-            found.append(frozenset(chosen))
+            found.append((mask, beyond))
             return
-        r, (lu, lv), (su, sv) = edges[t]
-        token = attach(su, sv)
-        if token is not None:
-            rec(t + 1)
-            detach(token)
-        token = attach(lu, lv)
-        if token is not None:
-            chosen.append(r)
-            rec(t + 1)
-            chosen.pop()
-            detach(token)
+        r, bit, long, short = edges[t]
+        for (u, v), m, b in ((short, mask, beyond),
+                             (long, mask | bit, beyond if bit else (*beyond, r))):
+            token = attach(u, v)
+            if token is not None:
+                rec(t + 1, m, b)
+                detach(token)
 
-    rec(0)
-    return {Grove(ic, cfg) for cfg in found}
+    rec(0, 0, ())
+    return {_grove(ic, mask, frozenset(beyond)) for mask, beyond in found}
 
 
 def to_simplified(g: Grove, N: int | None = None) -> SimplifiedGrove:
@@ -540,25 +556,18 @@ def from_simplified(s: SimplifiedGrove) -> Grove:
         raise CutoffNotOdd(str(s.N))
     # Long edges join the two sum s-1 vertices, short edges the sums s and
     # s-2, so the even edge of r is its long edge exactly when s is odd.
-    longs = [
-        r
-        for r, (long, short) in _window(ic, s.N).edges.items()
-        if (long in s.edges if sum(r.top) % 2 else short not in s.edges)
-    ]
-    return Grove(ic, frozenset(longs))
-
-
-def simplified_vertices(s: SimplifiedGrove) -> tuple[Point3, ...]:
-    # The window reaches sum -N-2, which is odd for odd N.
-    return tuple(p for p in _window(s.ic, s.N).index if sum(p) % 2 == 0)
+    chosen = [(r, bit) for r, (long, short, bit) in _window(ic, s.N).edges.items()
+              if (long in s.edges if sum(r.top) % 2 else short not in s.edges)]
+    return _grove(ic, sum(b for _, b in chosen), frozenset(r for r, b in chosen if not b))
 
 
 def simplified_components(s: SimplifiedGrove) -> int:
+    """Components over the even window vertices; the window reaches sum -N-2, odd for odd N."""
     index = _window(s.ic, s.N).index
     dsu = _DisjointSet(len(index))
     for u, v in s.edges:
         dsu.union(index[u], index[v])
-    return len({dsu.find(index[p]) for p in simplified_vertices(s)})
+    return len({dsu.find(t) for p, t in index.items() if sum(p) % 2 == 0})
 
 
 def asm_triangle(g: Grove) -> list[list[int]]:
@@ -571,15 +580,8 @@ def asm_triangle(g: Grove) -> list[list[int]]:
     if g.ic != standard(n):
         raise ValueError("alternating-sign triangles require standard initial conditions")
     x = _x_part(g)
-    rows = []
-    for r in range(n):
-        i = -r
-        row = []
-        for j in range(0, r - n, -1):
-            k = 1 - n - i - j
-            row.append(x.get((i, j, k), 0))
-        rows.append(row)
-    return rows
+    # Row r is the points (-r, j, 1-n+r-j) of the layer, j = 0, -1, ..., r-n+1.
+    return [[x.get((-r, j, 1 - n + r - j), 0) for j in range(0, r - n, -1)] for r in range(n)]
 
 
 def window_point_count(N: int) -> int:
@@ -595,9 +597,7 @@ def grove_to_json(g: Grove) -> dict:
     return {
         "long_edges": [[r.axis, *r.top] for r in g.sorted_long_edges()],
         "n": [st.n_a, st.n_b, st.n_c],
-        "degrees": {
-            "(%d,%d,%d)" % p: d for p, d in sorted(st.degree.items())
-        },
+        "degrees": {"(%d,%d,%d)" % p: d for p, d in sorted(st.degree.items())},
     }
 
 

@@ -110,10 +110,10 @@ def render_lattice(ic: InitialConditions, opts: RenderOptions | None = None) -> 
 
     def edges(window, layers):
         if "long_edges" in layers:
-            for long, _ in window.edges.values():
+            for long, _, _ in window.edges.values():
                 yield "lattice-long", 0.04, long
         if "short_edges" in layers:
-            for _, short in window.edges.values():
+            for _, short, _ in window.edges.values():
                 yield "lattice-short", 0.04, short
 
     return _render(ic, opts, edges)

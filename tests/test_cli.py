@@ -1,9 +1,11 @@
 """Command-line surface: outputs, formats, and exit codes."""
 
 import json
+import random
 
 import pytest
 
+from conftest import random_ic
 from cuberec import cli, groves, laurent, lattice, recurrence
 
 
@@ -43,6 +45,27 @@ def test_enumerate_bruteforce_matches(capsys):
     _, brute = run(capsys, "enumerate", "--preset", "standard:3", "--method", "brute-force")
     _, local = run(capsys, "enumerate", "--preset", "standard:3")
     assert brute == local
+
+
+def test_sorted_groves_follow_the_sorted_long_edges():
+    # The CLI sorts by ranks read from the masks; the order must be that of
+    # the groves' sorted long-edge lists, which fixes the output bytes.
+    def by_rhombi(gs):
+        return sorted(gs, key=lambda g: tuple(g.sorted_long_edges()))
+
+    rng = random.Random(1131)
+    for _ in range(10):
+        gs = groves.enumerate_local_moves(random_ic(rng, depth=1, boxes=4))
+        assert cli._sorted_groves(gs) == by_rhombi(gs)
+    # Long edges beyond the minimal window fall between its rhombi, often
+    # several into one gap.
+    ic = lattice.standard(2)
+    window = ic.rhombi_in_J()
+    beyond = [r for r in ic.rhombi_in_J(ic.min_cutoff + 2) if r not in window]
+    gs = {groves.Grove(ic, [*rng.sample(window, rng.randint(0, 4)),
+                            *rng.sample(beyond, rng.randint(0, 4))]) for _ in range(300)}
+    assert sum(len(g.outside) > 1 for g in gs) > 100
+    assert cli._sorted_groves(gs) == by_rhombi(gs)
 
 
 def test_verify_passes(capsys):
@@ -168,6 +191,10 @@ def test_library_usage_errors_exit_2_with_one_line(tmp_path, capsys):
     ic_file = tmp_path / "standard3.json"
     ic_file.write_text(json.dumps(lattice.to_json(lattice.standard(3))))
     both = ["--preset", "standard:2", "--ic-file", str(ic_file)]
+    # Long edges inside standard:3 that split a boundary class between components.
+    not_a_grove = tmp_path / "not-a-grove.jsonl"
+    not_a_grove.write_text(json.dumps(
+        {"long_edges": [["a", -2, 0, 0], ["a", -1, -1, 0], ["a", -1, 0, -1]]}) + "\n")
     argvs = {
         "compute-preset-and-ic-file": ["compute", *both, "--mode", "all-ones"],
         "enumerate-preset-and-ic-file": ["enumerate", *both],
@@ -177,6 +204,10 @@ def test_library_usage_errors_exit_2_with_one_line(tmp_path, capsys):
                                          "--method", "brute-force", "--brute-cap", "-1"],
         "render-asm-kleber": ["render", "asm", "--preset", "kleber:2,2,2"],
         "render-cutoff-0": ["render", "lattice", "--preset", "standard:3", "--cutoff", "0"],
+        "render-grove-not-a-grove": ["render", "grove", "--preset", "standard:3",
+                                     "--grove-file", str(not_a_grove)],
+        "render-asm-not-a-grove": ["render", "asm", "--preset", "standard:3",
+                                   "--grove-file", str(not_a_grove)],
         "brute-force-cutoff-0": ["enumerate", "--preset", "standard:3",
                                  "--method", "brute-force", "--cutoff", "0"],
         "gr-two-values": ["sequence", "--gr", "1,2"],
@@ -206,6 +237,8 @@ def test_library_usage_errors_exit_2_with_one_line(tmp_path, capsys):
         assert err.value.code == 2, name
         message = capsys.readouterr().err
         assert message.startswith("error: ") and message.count("\n") == 1, name
+        if "not-a-grove" in name:
+            assert "class-split" in message, message
         assert not (tmp_path / name).exists(), name
     assert "--brute-cap" in message
 

@@ -113,6 +113,55 @@ def test_grove_rejects_rhombus_outside():
         Grove(EMPTY, frozenset({Rhombus("a", (-3, -3, -3))}))
 
 
+def test_local_move_groves_hash_apart():
+    # A grove hashes as its mask; as frozensets of rhombi these 11 883 groves
+    # had only 618 distinct hashes.
+    gs = enumerate_local_moves(lattice.kleber(3, 3, 3))
+    assert len(gs) == 11883
+    assert len({hash(g) for g in gs}) >= 11000
+
+
+def test_grove_identity_on_random_ics():
+    # A grove built from its rhombi, also over an equal but separate ideal, is
+    # the enumerated one.
+    rng = random.Random(1121)
+    for _ in range(12):
+        ic = random_ic(rng, depth=1, boxes=4)
+        twin = InitialConditions(sorted(ic.u_fin))
+        assert twin == ic and twin is not ic
+        for g in enumerate_local_moves(ic):
+            assert g.sorted_long_edges() == sorted(g.long_edges)
+            for same in (Grove(ic, g.long_edges), Grove(twin, g.long_edges)):
+                assert same == g and hash(same) == hash(g), (ic, g)
+                assert same.mask == g.mask and not same.outside
+
+
+def test_long_edges_beyond_the_window_round_trip():
+    # EMPTY's minimal window is radius 0; near lies within radius 1, deep
+    # within none of the cutoffs below 4.
+    here, near = Rhombus("b", (0, 0, 0)), Rhombus("a", (0, 0, -1))
+    deep = Rhombus("a", (0, -2, -2))
+    g = Grove(EMPTY, [here, near, deep])
+    assert g.mask.bit_count() == 1 and g.outside == {near, deep}
+    assert g.long_edges == {here, near, deep}
+    assert g.sorted_long_edges() == sorted([here, near, deep])
+    same = Grove(EMPTY, g.long_edges)
+    assert same == g and hash(same) == hash(g)
+    assert g != Grove(EMPTY, [here, near]) and g != Grove(EMPTY, [here])
+    m = monomial_of(g)
+    expected = [*monomial_of(Grove(EMPTY, [here])).exps,
+                (near.variable(), 1), (deep.variable(), 1)]
+    assert m == Monomial(1, exps_from_items(expected))
+    assert grove_sum([g]) == LaurentPoly.monomial(1, m.exps)
+    assert grove_from_monomial(EMPTY, m) == g
+    assert check_grove(g, 3).kind == "compactness"
+    # At radius 1 the window edge on near is its long edge.
+    assert check_grove(base_grove(EMPTY), 1) is None
+    assert check_grove(Grove(EMPTY, [near]), 1) is not None
+    st = stats(g)
+    assert (st.n_a, st.n_b, st.n_c) == (2, 1, 0)
+
+
 def test_enumeration_checks_containment_once_per_ideal(monkeypatch):
     # Enumerated long edges lie in the window, whose build is the only check.
     calls = 0
