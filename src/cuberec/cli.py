@@ -240,20 +240,25 @@ def _prop_oracle(ic, ctx):
     return None
 
 
+def _named(g) -> str:
+    """g as a --grove-file line, which render grove reads back."""
+    return json.dumps({"long_edges": [[r.axis, *r.top] for r in g.sorted_long_edges()]})
+
+
 def _prop_acyclic(ic, ctx):
+    window = groves._window(ic, ic.min_cutoff)
     for g in ctx["groves"]:
-        if not groves.is_acyclic(g):
-            return f"cyclic grove {sorted(g.long_edges)}"
+        if not window.forest(g.mask):
+            return f"cyclic grove {_named(g)}"
     return None
 
 
 def _prop_triineq(ic, ctx):
+    window = groves._window(ic, ic.min_cutoff)
     for g in ctx["groves"]:
-        st = groves.stats(g)
-        for v in (st.n_a + st.n_b - st.n_c, st.n_b + st.n_c - st.n_a,
-                  st.n_c + st.n_a - st.n_b):
-            if v < 0 or v % 2 != 0:
-                return f"axis counts ({st.n_a},{st.n_b},{st.n_c}) break the parity law"
+        a, b, c = window.axis_counts(g)
+        if a + b < c or b + c < a or c + a < b or (a + b + c) % 2:
+            return f"axis counts ({a},{b},{c}) break the parity law in grove {_named(g)}"
     try:
         recurrence.abc_from_edge_vars(ctx["f_sym"])
     except recurrence.HalfIntegerExponent as exc:
@@ -265,11 +270,13 @@ def _prop_coeffone(ic, ctx):
     bad = [c for c in ctx["f_sym"].coefficients() if c != 1]
     if bad:
         return f"non-unit coefficients {bad[:5]}"
+    window = groves._window(ic, ic.min_cutoff)
     for g in ctx["groves"]:
-        for t, (r, s) in enumerate(groves.quadrant_sums(g).items()):  # r has bit t
-            expected = -(g.mask >> t & 1)
-            if s != expected:
-                return f"quadrant sum {s} at {r}, expected {expected}"
+        if window.quadrant_fields(g.mask):
+            for t, (r, s) in enumerate(groves.quadrant_sums(g).items()):  # r has bit t
+                expected = -(g.mask >> t & 1)
+                if s != expected:
+                    return f"quadrant sum {s} at {r}, expected {expected}, in grove {_named(g)}"
     return None
 
 
@@ -277,20 +284,22 @@ def _prop_degrees(ic, ctx):
     rng = ctx["f_sym"].exponent_range(laurent.TAG_X)
     if rng and (rng[0] < -1 or rng[1] > 4):
         return f"lattice-variable exponents {rng} outside [-1, 4]"
+    window = groves._window(ic, ic.min_cutoff)
     for g in ctx["groves"]:
-        degs = groves.grove_degrees(g)
-        lo, hi = min(degs.values()), max(degs.values())
-        if lo < 1 or hi > 6:
-            return f"vertex degree range [{lo},{hi}] outside [1, 6]"
+        if not window.degrees_within(window.degree_vector(g.mask), 1, 6):
+            degs = window.degree_bytes(g.mask)
+            return (f"vertex degree range [{min(degs)},{max(degs)}] outside [1, 6] "
+                    f"in grove {_named(g)}")
     return None
 
 
 def _prop_injectivity(ic, ctx):
+    window = groves._window(ic, ic.min_cutoff)
     seen = {}
     for g in ctx["groves"]:
-        key = tuple(sorted(groves.stats(g).degree.items()))
+        key = window.degree_vector(g.mask)
         if key in seen:
-            return "two groves share a degree table"
+            return f"groves {_named(seen[key])} and {_named(g)} share a degree table"
         seen[key] = g
     return None
 
@@ -310,10 +319,10 @@ def _prop_simplified(ic, ctx):
     for g in ctx["groves"]:
         s = groves.to_simplified(g, N)
         if groves.from_simplified(s) != g:
-            return "simplified grove round trip failed"
+            return f"simplified grove round trip failed for grove {_named(g)}"
         c = groves.simplified_components(s)
         if c != want:
-            return f"simplified grove has {c} components, expected {want}"
+            return f"simplified grove has {c} components, expected {want}, in grove {_named(g)}"
     return None
 
 
@@ -322,9 +331,11 @@ def _prop_octahedron(ic, ctx):
     if not report.equal:
         return "transformed recurrence disagrees with the direct one"
 
+    window = groves._window(ic, ic.min_cutoff)
+
     def balanced(g):
-        st = groves.stats(g)
-        return st.n_a + st.n_b == st.n_c
+        a, b, c = window.axis_counts(g)
+        return a + b == c
 
     filtered = laurent.drop_variables(
         groves.grove_sum(filter(balanced, ctx["groves"])),

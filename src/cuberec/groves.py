@@ -10,12 +10,20 @@ determines the grove in turn.  The rhombi are decoded only on request.
 
 Verification works on the finite window of radius N: the window has
 3*C(N+3,2)+1 vertices and 3*C(N+2,2) rhombi, each contributing exactly one
-edge (the one rule _window_edges, behind every view of the window), and a
-choice of edges extends to a grove exactly when the resulting graph is a
-forest whose components pair up one-to-one with the 3N+7 boundary classes.
-What all groves of one ideal share at one radius is built once (_window).
-A long edge in place of a short one multiplies the monomial by a fixed step,
-so a grove's monomial is the base grove's times the steps of its set bits.
+edge, and a choice of edges extends to a grove exactly when the resulting
+graph is a forest whose components pair up one-to-one with the 3N+7 boundary
+classes.  What all groves of one ideal share at one radius is built once
+(_window): int tables indexed by bit, which every per-grove view reads the
+mask through.  Each bit's long and short edge are pairs of window-point
+indices, behind acyclicity, connectivity, simplified groves and pictures.
+A long edge in place of a short one changes the degrees, and the quadrant
+sums of the coefficient-one law, by fixed amounts, so the base grove's
+values packed one field per point or per rhombus, plus the packed changes of
+the set bits (summed eight bits at a time from subset tables), give a
+grove's degree table or its coefficient-one test as one int (Knuth, TAOCP 4A
+7.1.3).  Axis counts are popcounts.  The same holds for the monomial: it is
+the base grove's times a fixed step per set bit.  monomial_of and
+coeffone_sums decode it instead, as independent routes for the tests.
 
 Enumeration comes in two independent flavours:
 
@@ -40,9 +48,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import repeat
 from math import comb
 from operator import or_
-from typing import Collection, Iterable, Iterator, NamedTuple
+from typing import Collection, Iterable
 
 from .laurent import (
     TAG_A,
@@ -89,14 +98,14 @@ def _check_contained(ic: InitialConditions, rhombi: Collection[Rhombus]) -> None
 
 
 class _DisjointSet:
-    """Array union-find with union by rank; optional operation log for undo."""
+    """Array union-find with union by rank and an operation log for undo."""
 
     __slots__ = ("parent", "rank", "log")
 
-    def __init__(self, n: int, keep_log: bool = False):
+    def __init__(self, n: int):
         self.parent = list(range(n))
         self.rank = [0] * n
-        self.log = [] if keep_log else None
+        self.log = []
 
     def find(self, x: int) -> int:
         parent = self.parent
@@ -113,8 +122,7 @@ class _DisjointSet:
         self.parent[ry] = rx
         bumped = self.rank[rx] == self.rank[ry]
         self.rank[rx] += bumped
-        if self.log is not None:
-            self.log.append((ry, rx, bumped))
+        self.log.append((ry, rx, bumped))
         return True
 
     def undo(self) -> None:
@@ -133,16 +141,17 @@ class Grove:
     __slots__ = ("ic", "mask", "outside", "__dict__")
 
     def __init__(self, ic: InitialConditions, long_edges: Collection[Rhombus]):
-        edges = _window(ic, ic.min_cutoff).edges
+        pos = _window(ic, ic.min_cutoff).pos
         longs = set(long_edges)
-        outside = frozenset(r for r in longs if r not in edges)
+        outside = frozenset(r for r in longs if r not in pos)
         _check_contained(ic, outside)
-        self.ic, self.mask, self.outside = ic, sum(edges[r][2] for r in longs - outside), outside
+        self.ic, self.mask, self.outside = ic, sum(1 << pos[r] for r in longs - outside), outside
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grove):
             return NotImplemented
-        return self.mask == other.mask and self.outside == other.outside and self.ic == other.ic
+        return (self.mask == other.mask and self.outside == other.outside
+                and (self.ic is other.ic or self.ic == other.ic))
 
     def __hash__(self) -> int:
         return hash((self.mask, self.outside))
@@ -156,13 +165,13 @@ class Grove:
         return frozenset(self.sorted_long_edges())
 
     def sorted_long_edges(self) -> list[Rhombus]:
-        longs = _at_bits(_window(self.ic, self.ic.min_cutoff).rhombi, self.mask)
+        longs = _at_bits(_min_window(self).rhombi, self.mask)
         return sorted(longs + [*self.outside]) if self.outside else longs
 
     @cached_property
     def _monomial(self) -> Monomial:
         """The base monomial times each set bit's step, and each variable beyond the window."""
-        window = _window(self.ic, self.ic.min_cutoff)
+        window = _min_window(self)
         items = [*window.base.exps, *((r.variable(), 1) for r in self.outside)]
         for step in _at_bits(window.steps, self.mask):
             items += step
@@ -230,66 +239,292 @@ def boundary_classes(N: int) -> list[tuple[Point3, ...]]:
     return sorted(classes)
 
 
-class _Window(NamedTuple):
-    """What every grove of one ideal shares at radius N; never mutate.
+class FieldOverflow(ValueError):
+    """A value does not fit the packed field that holds it."""
 
-    The fields from rhombi on are the minimal window's; bit 0 marks a rhombus beyond it.
+
+def _pack(values: Iterable[int], width: int, lo: int, hi: int) -> int:
+    """The sum of values[i] << width*i; FieldOverflow unless lo <= every value < hi."""
+    total = 0
+    for i, v in enumerate(values):
+        if not lo <= v < hi:
+            raise FieldOverflow(f"{v} in field {i} lies outside [{lo}, {hi})")
+        total += v << width * i
+    return total
+
+
+def _unpack_signed(total: int, width: int, count: int) -> list[int]:
+    """The first count signed width-bit fields of a _pack sum."""
+    fields, full, half = [], (1 << width) - 1, 1 << width - 1
+    for _ in range(count):
+        v = total & full
+        v -= (v >= half) << width
+        fields.append(v)
+        total = (total - v) >> width
+    return fields
+
+
+def _subset_sums(values: list[int]) -> list[list[int]]:
+    """For each run of eight positions, the sum of values over every subset, indexed by its bits."""
+    tables = []
+    for start in range(0, len(values), 8):
+        table = [0]
+        for v in values[start:start + 8]:
+            table += [x + v for x in table]
+        tables.append(table)
+    return tables
+
+
+def _sum_at(tables: list[list[int]], mask: int) -> int:
+    """The sum of the _subset_sums values at the set bits of mask."""
+    total = 0
+    for table in tables:
+        total += table[mask & 255]
+        mask >>= 8
+    return total
+
+
+def _union(size: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], bool]:
+    """Union-find over index pairs: the parent list, and False when a pair closed a cycle."""
+    parent = list(range(size))
+    forest = True
+    for u, v in pairs:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u == v:
+            forest = False
+        else:
+            parent[u] = v
+    return parent, forest
+
+
+def _root(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        x = parent[x]
+    return x
+
+
+# Degree fields are bytes.  A vertex lies on at most 12 rhombi (top, bottom or
+# a middle vertex of four per axis), each giving it at most one edge, so a
+# degree is 0..12; the build checks that no mask can leave 0..127, which keeps
+# bit 7 of each field free for the range test of _Window.degrees_within.
+_DEGREE_BITS = 8
+_DEGREE_LIMIT = 1 << _DEGREE_BITS - 1
+
+
+class _Window:
+    """What every grove of one ideal shares at radius N, built once; never mutate.
+
+    Position t stands for rhombi[t].  The minimal window's rhombi come first,
+    in sorted order, so positions below `bits` are the bits of a grove's mask;
+    the rest of this window's rhombi follow, sorted.  The tables are indexed by
+    position and hold window-point indices, so every view of a grove reads its
+    mask through them, and only a hand-built grove's long edges beyond the
+    minimal window are looked up as rhombi (positions).
     """
 
-    index: dict[Point3, int]  # the window points, sorted, to 0..n-1
-    edges: dict[Rhombus, tuple[tuple, tuple, int]]  # (long, short, bit) of each, sorted
-    classes: list[tuple[Point3, ...]]
-    rhombi: tuple[Rhombus, ...]  # bit t stands for rhombi[t]
-    base: Monomial  # the base grove's, which uses every short edge
-    steps: list[tuple]  # what bit t's long edge multiplies it by
-    base_key: int  # base and steps packed as LaurentPoly keys
-    step_keys: list[int]
-    axis_masks: dict[str, int]  # the bits of each axis's rhombi
+    def __init__(self, ic: InitialConditions, N: int):
+        self.ic, self.N = ic, N
+        self.points = ic.points_in_J(N)  # sorted; point i has index i
+        self.index = index = {p: i for i, p in enumerate(self.points)}
+        own = ic.rhombi_in_J(N)
+        inner = own if N == ic.min_cutoff else _window(ic, ic.min_cutoff).rhombi
+        known = set(inner)
+        self.rhombi = inner + tuple(r for r in own if r not in known)
+        self.bits = len(inner)
+        self.pos = {r: t for t, r in enumerate(self.rhombi)}
+        self.long_ends = [(index[a], index[b]) for a, b in map(Rhombus.long_edge, self.rhombi)]
+        self.short_ends = [(index[a], index[b]) for a, b in map(Rhombus.short_edge, self.rhombi)]
+        self.classes = boundary_classes(N)
+
+    def positions(self, g: Grove) -> int:
+        """g's long edges as a mask over this window's positions."""
+        if not g.outside:
+            return g.mask
+        pos = self.pos
+        return g.mask | sum(1 << pos[r] for r in g.outside if r in pos)
+
+    def edges(self, m: int) -> list[tuple[int, int]]:
+        """The edge used on each window rhombus, by position: the long one where m has a bit."""
+        ends, longs = self.short_ends.copy(), self.long_ends
+        while m:
+            low = m & -m
+            t = low.bit_length() - 1
+            ends[t] = longs[t]
+            m ^= low
+        return ends
+
+    def forest(self, m: int) -> bool:
+        """Whether the edges at positions m close no cycle in the window."""
+        return _union(len(self.points), self.edges(m))[1]
+
+    @cached_property
+    def axis_masks(self) -> dict[str, int]:
+        """The bits of each axis's rhombi."""
+        return {a: sum(1 << t for t, r in enumerate(self.rhombi[:self.bits]) if r.axis == a)
+                for a in AXES}
+
+    def axis_counts(self, g: Grove) -> tuple[int, int, int]:
+        """How many long edges g has on each axis: popcounts, plus its rhombi beyond the window."""
+        masks, mask = self.axis_masks, g.mask
+        counts = [(mask & masks[a]).bit_count() for a in AXES]
+        for r in g.outside:
+            counts[AXES.index(r.axis)] += 1
+        return tuple(counts)
+
+    @cached_property
+    def base_degrees(self) -> list[int]:
+        """Each window point's degree in the base grove, which uses every short edge.
+
+        At the window points that covers the forced short edges below the
+        window too, which meet it only at their tops.
+        """
+        degrees = [0] * len(self.points)
+        for a, b in self.short_ends:
+            degrees[a] += 1
+            degrees[b] += 1
+        for r in self.ic.rhombi_touching_J(self.N):
+            if sum(r.top) < -self.N:
+                degrees[self.index[r.top]] += 1
+        return degrees
+
+    @cached_property
+    def base(self) -> Monomial:
+        """The base grove's monomial: x(p)**(degree-2) over the window points."""
+        pairs = zip(self.points, self.base_degrees)
+        return Monomial(1, tuple((xvar(*p), d - 2) for p, d in pairs if d != 2))
+
+    @cached_property
+    def steps(self) -> list[tuple]:
+        """What the long edge at each position multiplies the base monomial by."""
+        x = [xvar(*p) for p in self.points]
+        return [((r.variable(), 1), (x[a], 1), (x[b], 1), (x[c], -1), (x[d], -1))
+                for r, (a, b), (c, d) in zip(self.rhombi, self.long_ends, self.short_ends)]
+
+    @cached_property
+    def base_key(self) -> int:
+        """base packed as a LaurentPoly key."""
+        return LaurentPoly._key(self.base.exps)
+
+    @cached_property
+    def step_keys(self) -> list[int]:
+        return [LaurentPoly._key(step) for step in self.steps]
+
+    @cached_property
+    def degree_tables(self) -> tuple[int, list[list[int]]]:
+        """The base degrees packed one byte per point, and the bits' degree changes as subset sums.
+
+        A long edge in place of the short one adds 1 at the long edge's ends
+        and takes 1 from the short edge's.
+        """
+        base, n = self.base_degrees, self.bits
+        lo, hi = base.copy(), base.copy()
+        steps = []
+        for (a, b), (c, d) in zip(self.long_ends[:n], self.short_ends[:n]):
+            hi[a] += 1
+            hi[b] += 1
+            lo[c] -= 1
+            lo[d] -= 1
+            steps.append((1 << _DEGREE_BITS * a) + (1 << _DEGREE_BITS * b)
+                         - (1 << _DEGREE_BITS * c) - (1 << _DEGREE_BITS * d))
+        for bound in (lo, hi):  # what any set of bits can reach
+            _pack(bound, _DEGREE_BITS, 0, _DEGREE_LIMIT)
+        return _pack(base, _DEGREE_BITS, 0, _DEGREE_LIMIT), _subset_sums(steps)
+
+    def degree_vector(self, mask: int) -> int:
+        """The degrees of the grove with this mask, one byte per window point."""
+        base, tables = self.degree_tables
+        return base + _sum_at(tables, mask)
+
+    def degree_bytes(self, mask: int) -> bytes:
+        """The degrees of the grove with this mask, by window point."""
+        return self.degree_vector(mask).to_bytes(len(self.points), "little")
+
+    def degrees_within(self, degrees: int, lo: int, hi: int) -> bool:
+        """Whether every byte of a degree_vector lies in lo..hi (0 <= lo <= hi < 128).
+
+        Adding 128 - lo to a byte sets its bit 7 exactly when the byte is at
+        least lo, and adding 127 - hi exactly when it exceeds hi (TAOCP 4A
+        7.1.3); no byte carries, as each stays below 128 + 128.
+        """
+        ones = self.byte_ones
+        high = ones * _DEGREE_LIMIT
+        return ((degrees + (_DEGREE_LIMIT - lo) * ones) & high == high
+                and (degrees + (_DEGREE_LIMIT - 1 - hi) * ones) & high == 0)
+
+    @cached_property
+    def byte_ones(self) -> int:
+        return int.from_bytes(b"\x01" * len(self.points), "little")
+
+    @cached_property
+    def quadrant_tables(self) -> tuple[int, list[list[int]], int]:
+        """The packed coefficient-one test: base, the bits' subset sums, field width.
+
+        Field t holds coeffone_sums at rhombus t plus bit t, which is 0 for
+        every rhombus of a grove.  The base holds the base grove's quadrant
+        sums; each bit adds its degree change's share of every quadrant, and 1
+        in its own field.  Fields are signed and as wide as the range that the
+        base plus any set of bits can reach needs, so a total of 0 means that
+        every field is 0.
+        """
+        n, points, base = self.bits, self.points, self.base_degrees
+        inside = []  # inside[t][i]: point i lies in rhombus t's quadrant
+        for r in self.rhombi[:n]:
+            _, x, y = _AXIS[r.axis]
+            tx, ty = r.top[x], r.top[y]
+            inside.append([p[x] < tx and p[y] < ty for p in points])
+        fields = [sum(d - 2 for d, q in zip(base, row) if q) for row in inside]
+        ends = zip(self.long_ends[:n], self.short_ends[:n])
+        steps = [[row[a] + row[b] - row[c] - row[d] + (t == u) for t, row in enumerate(inside)]
+                 for u, ((a, b), (c, d)) in enumerate(ends)]
+        lo, hi = fields.copy(), fields.copy()
+        for step in steps:
+            for t, c in enumerate(step):
+                if c < 0:
+                    lo[t] += c
+                else:
+                    hi[t] += c
+        width = max(0, *hi, *(-v - 1 for v in lo)).bit_length() + 1
+        half = 1 << width - 1
+        packed = [_pack(step, width, -half, half) for step in steps]
+        return _pack(fields, width, -half, half), _subset_sums(packed), width
+
+    def quadrant_fields(self, mask: int) -> int:
+        """The packed coefficient-one test of the grove with this mask; 0 when it passes."""
+        base, tables, _ = self.quadrant_tables
+        return base + _sum_at(tables, mask)
+
+    @cached_property
+    def even_tables(self) -> tuple[int, list[tuple], dict[tuple, int], list[int]]:
+        """What simplified groves read: flip, each position's even edge, its bit, the even points.
+
+        Long edges join two points of sum s-1 and short edges the sums s and
+        s-2, s the top's sum, so a rhombus's even edge is its long edge when s
+        is odd.  A grove uses it exactly where its positions differ from flip,
+        the positions with s even.
+        """
+        flip, edges = 0, []
+        points = self.points
+        for t, (r, long, short) in enumerate(zip(self.rhombi, self.long_ends, self.short_ends)):
+            even_top = sum(r.top) % 2 == 0
+            flip |= even_top << t
+            a, b = short if even_top else long
+            edges.append((points[a], points[b]))
+        even = [i for i, p in enumerate(points) if sum(p) % 2 == 0]
+        return flip, edges, {e: 1 << t for t, e in enumerate(edges)}, even
 
 
 def _window(ic: InitialConditions, N: int) -> _Window:
     """The radius-N window of ic, built once per (ic, N); NotACutoff unless N is one."""
-
-    def build():
-        points = ic.points_in_J(N)
-        index = {p: t for t, p in enumerate(points)}
-        minimal = _window(ic, ic.min_cutoff) if N != ic.min_cutoff else None
-        rhombi = minimal.rhombi if minimal else ic.rhombi_in_J(N)
-        bit = {r: 1 << t for t, r in enumerate(rhombi)}.get
-        edges = {r: (r.long_edge(), r.short_edge(), bit(r, 0)) for r in ic.rhombi_in_J(N)}
-        if minimal:
-            return minimal._replace(index=index, edges=edges, classes=boundary_classes(N))
-        # Every short edge adds 1 at its ends; at the window points that covers
-        # the forced short edges below it, which meet it only at their tops.
-        degrees = Counter(p for r in ic.rhombi_touching_J(N) for p in r.short_edge())
-        x = {p: xvar(*p) for p in points}
-        base = Monomial(1, tuple((x[p], degrees[p] - 2) for p in points if degrees[p] != 2))
-        steps = [
-            ((r.variable(), 1), *((x[p], 1) for p in long), *((x[p], -1) for p in short))
-            for r, (long, short, _) in edges.items()
-        ]
-        axis_masks = {a: sum(1 << t for t, r in enumerate(rhombi) if r.axis == a) for a in AXES}
-        key = LaurentPoly._key
-        return _Window(index, edges, boundary_classes(N), rhombi, base, steps,
-                       key(base.exps), [key(step) for step in steps], axis_masks)
-
-    return ic.memo(("window", N), build)
+    return ic.memo(("window", N), lambda: _Window(ic, N))
 
 
-def _window_edges(g: Grove, window: _Window) -> Iterator[tuple[int, tuple]]:
-    """The edge g uses on each window rhombus, paired with a true value if it is the long one."""
-    mask, outside = g.mask, g.outside
-    for r, (long_edge, short_edge, bit) in window.edges.items():
-        long = mask & bit if bit else r in outside
-        yield long, long_edge if long else short_edge
-
-
-def _window_forest(g: Grove, window: _Window):
-    """Union g's window edges; the second value is False when a union closed a cycle."""
-    index = window.index
-    dsu = _DisjointSet(len(index))
-    merged = sum(dsu.union(index[u], index[v]) for _, (u, v) in _window_edges(g, window))
-    return dsu, merged == len(window.edges)
+def _min_window(g: Grove) -> _Window:
+    return _window(g.ic, g.ic.min_cutoff)
 
 
 def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
@@ -301,11 +536,11 @@ def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
         if sum(r.top) < -N:
             return GroveViolation("compactness", f"long edge of deep rhombus {r}")
 
-    dsu, _ = _window_forest(g, window)
+    parent, _ = _union(len(window.points), window.edges(window.positions(g)))
     index = window.index
     owner: dict[int, tuple] = {}
     for cls in window.classes:
-        roots = {dsu.find(index[p]) for p in cls}
+        roots = {_root(parent, index[p]) for p in cls}
         if len(roots) > 1:
             return GroveViolation("class-split", f"class {cls} spans several components")
         root = roots.pop()
@@ -313,7 +548,7 @@ def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
             shared = f"classes {owner[root]} and {cls} share a component"
             return GroveViolation("class-shared", shared)
         owner[root] = cls
-    components = len({dsu.find(t) for t in range(len(index))})
+    components = sum(parent[t] == t for t in range(len(parent)))
     if components != 3 * N + 7:
         return GroveViolation("component-count", f"{components} components, expected {3 * N + 7}")
     return None
@@ -321,25 +556,19 @@ def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
 
 def is_acyclic(g: Grove) -> bool:
     """Cycle detection on the minimal window graph; the forced chains outside are paths."""
-    return _window_forest(g, _window(g.ic, g.ic.min_cutoff))[1]
-
-
-def _x_part(g: Grove) -> dict[Point3, int]:
-    """Each window point's degree minus 2, where not 0, read off g's monomial."""
-    return {v[1:]: e for v, e in g._monomial.exps if v[0] == TAG_X}
+    return _min_window(g).forest(g.mask)
 
 
 def grove_degrees(g: Grove) -> dict[Point3, int]:
     """Vertex degrees on the minimal window; every vertex beyond it has degree 2."""
-    x = _x_part(g)
-    return {p: 2 + x.get(p, 0) for p in _window(g.ic, g.ic.min_cutoff).index}
+    window = _min_window(g)
+    return dict(zip(window.points, window.degree_bytes(g.mask)))
 
 
 def stats(g: Grove) -> GroveStats:
-    masks = _window(g.ic, g.ic.min_cutoff).axis_masks
-    beyond = [r.axis for r in g.outside]
-    counts = ((g.mask & masks[a]).bit_count() + beyond.count(a) for a in AXES)
-    return GroveStats(*counts, degree={p: e + 2 for p, e in _x_part(g).items()})
+    window = _min_window(g)
+    degree = {p: d for p, d in zip(window.points, window.degree_bytes(g.mask)) if d != 2}
+    return GroveStats(*window.axis_counts(g), degree=degree)
 
 
 def monomial_of(g: Grove) -> Monomial:
@@ -370,7 +599,7 @@ def grove_sum(groves: Iterable[Grove]) -> LaurentPoly:
     """Sum of grove monomials, added up as packed keys: the base key plus set bits' step keys."""
     keys = Counter()
     for g in groves:
-        window = _window(g.ic, g.ic.min_cutoff)
+        window = _min_window(g)
         beyond = LaurentPoly._key((r.variable(), 1) for r in g.outside)
         keys[window.base_key + sum(_at_bits(window.step_keys, g.mask)) + beyond] += 1
     return LaurentPoly._from_keys(dict(keys))
@@ -389,31 +618,15 @@ def coeffone_sums(g: Grove, r: Rhombus) -> int:
 
 
 def quadrant_sums(g: Grove) -> dict[Rhombus, int]:
-    """coeffone_sums(g, r) for every rhombus r of the minimal window, in bit order, in one pass.
+    """coeffone_sums(g, r) for every rhombus r of the minimal window, in bit order.
 
-    Per axis, the degree-2 excesses of g's monomial go into a grid over the
-    window's two long-edge coordinates, -N-2..0, and a 2-D prefix sum over it
-    answers every rhombus's quadrant at once.
+    Read off the packed coefficient-one test (_Window.quadrant_tables), whose
+    field t is the sum plus bit t.
     """
-    window = _window(g.ic, g.ic.min_cutoff)
-    x = _x_part(g)
-    size = g.ic.min_cutoff + 3  # coordinate c sits in row/column c + size, from 1 to size
-    below = {}
-    for axis, (_, i, j) in _AXIS.items():
-        grid = [[0] * (size + 1) for _ in range(size + 1)]
-        for p, e in x.items():
-            grid[p[i] + size][p[j] + size] += e
-        for a in range(1, size + 1):  # grid[a][b]: the sum over rows <= a, columns <= b
-            row, prev, run = grid[a], grid[a - 1], 0
-            for b in range(1, size + 1):
-                run += row[b]
-                row[b] = run + prev[b]
-        below[axis] = (grid, i, j)
-    out = {}
-    for r in window.edges:
-        grid, i, j = below[r.axis]
-        out[r] = grid[r.top[i] + size - 1][r.top[j] + size - 1]
-    return out
+    window = _min_window(g)
+    _, _, width = window.quadrant_tables
+    fields = _unpack_signed(window.quadrant_fields(g.mask), width, window.bits)
+    return {r: v - (g.mask >> t & 1) for t, (r, v) in enumerate(zip(window.rhombi, fields))}
 
 
 def _local_move_masks(ic: InitialConditions) -> set[int]:
@@ -482,20 +695,20 @@ def enumerate_bruteforce(
     N = ic.min_cutoff if N is None else N
     window = _window(ic, N)
     index, classes = window.index, window.classes
-    if len(window.edges) > cap:
-        raise TooLarge(f"{len(window.edges)} free rhombi exceed cap {cap}")
+    if len(window.rhombi) > cap:
+        raise TooLarge(f"{len(window.rhombi)} free rhombi exceed cap {cap}")
 
     comp_class = [-1] * len(index)  # class owned by each root's component, -1 if none
     for ci, cls in enumerate(classes):
         for p in cls:
             comp_class[index[p]] = ci
 
-    edges = [
-        (r, bit, (index[lu], index[lv]), (index[su], index[sv]))
-        for r, ((lu, lv), (su, sv), bit) in window.edges.items()
+    edges = [  # in sorted rhombus order; bit 0 marks a rhombus beyond the minimal window
+        (r, 1 << t if t < window.bits else 0, window.long_ends[t], window.short_ends[t])
+        for r, t in sorted(window.pos.items())
     ]
 
-    dsu = _DisjointSet(len(index), keep_log=True)
+    dsu = _DisjointSet(len(index))
     found: list[tuple[int, tuple]] = []
 
     def attach(u: int, v: int) -> tuple | None:
@@ -544,8 +757,9 @@ def to_simplified(g: Grove, N: int | None = None) -> SimplifiedGrove:
     N = ic.min_odd_cutoff if N is None else N
     if N % 2 == 0:
         raise CutoffNotOdd(str(N))
-    # Both ends of an edge share the parity of their coordinate sum.
-    edges = frozenset(e for _, e in _window_edges(g, _window(ic, N)) if sum(e[0]) % 2 == 0)
+    window = _window(ic, N)
+    flip, even_edges, _, _ = window.even_tables
+    edges = frozenset(_at_bits(even_edges, window.positions(g) ^ flip))
     return SimplifiedGrove(ic=ic, N=N, edges=edges)
 
 
@@ -554,20 +768,19 @@ def from_simplified(s: SimplifiedGrove) -> Grove:
     ic = s.ic
     if s.N % 2 == 0:
         raise CutoffNotOdd(str(s.N))
-    # Long edges join the two sum s-1 vertices, short edges the sums s and
-    # s-2, so the even edge of r is its long edge exactly when s is odd.
-    chosen = [(r, bit) for r, (long, short, bit) in _window(ic, s.N).edges.items()
-              if (long in s.edges if sum(r.top) % 2 else short not in s.edges)]
-    return _grove(ic, sum(b for _, b in chosen), frozenset(r for r, b in chosen if not b))
+    window = _window(ic, s.N)
+    flip, _, even_bit, _ = window.even_tables
+    m = sum(map(even_bit.get, s.edges, repeat(0))) ^ flip  # an edge not in the window adds 0
+    n = window.bits
+    return _grove(ic, m & ~(-1 << n), frozenset(_at_bits(window.rhombi, m >> n << n)))
 
 
 def simplified_components(s: SimplifiedGrove) -> int:
     """Components over the even window vertices; the window reaches sum -N-2, odd for odd N."""
-    index = _window(s.ic, s.N).index
-    dsu = _DisjointSet(len(index))
-    for u, v in s.edges:
-        dsu.union(index[u], index[v])
-    return len({dsu.find(t) for p, t in index.items() if sum(p) % 2 == 0})
+    window = _window(s.ic, s.N)
+    index = window.index
+    parent, _ = _union(len(index), ((index[u], index[v]) for u, v in s.edges))
+    return len({_root(parent, t) for t in window.even_tables[3]})
 
 
 def asm_triangle(g: Grove) -> list[list[int]]:
@@ -579,9 +792,10 @@ def asm_triangle(g: Grove) -> list[list[int]]:
     n = g.ic.min_cutoff + 1
     if g.ic != standard(n):
         raise ValueError("alternating-sign triangles require standard initial conditions")
-    x = _x_part(g)
+    degrees = grove_degrees(g)
     # Row r is the points (-r, j, 1-n+r-j) of the layer, j = 0, -1, ..., r-n+1.
-    return [[x.get((-r, j, 1 - n + r - j), 0) for j in range(0, r - n, -1)] for r in range(n)]
+    return [[degrees.get((-r, j, 1 - n + r - j), 2) - 2 for j in range(0, r - n, -1)]
+            for r in range(n)]
 
 
 def window_point_count(N: int) -> int:

@@ -75,6 +75,12 @@ _UNIT = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
 # Unit steps subtracted from the top vertex, per axis.
 _AXIS_STEPS = {axis: (_UNIT[x], _UNIT[y]) for axis, (_, x, y) in _AXIS.items()}
 
+# What each vertex of a rhombus lies below its top by, per axis, in the order of vertices().
+_CORNER_STEPS = {
+    axis: ((0, 0, 0), u, v, tuple(a + b for a, b in zip(u, v)))
+    for axis, (u, v) in _AXIS_STEPS.items()
+}
+
 
 def _sub(p: Point3, q: Point3) -> Point3:
     return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
@@ -176,9 +182,12 @@ class InitialConditions:
         return not self.in_L(p)
 
     def in_I(self, p: Point3) -> bool:
-        if not self.in_L(p):
+        # in_L(p) and in_U(p + (1,1,1)), inline: p + (1,1,1) leaves the cone
+        # exactly when a coordinate of p is 0.
+        i, j, k = p
+        if i > 0 or j > 0 or k > 0 or p in self.u_fin:
             return False
-        return self.in_U((p[0] + 1, p[1] + 1, p[2] + 1))
+        return i == 0 or j == 0 or k == 0 or (i + 1, j + 1, k + 1) in self.u_fin
 
     def is_cutoff(self, N: int) -> bool:
         """Both cutoff properties, checked directly against u_fin."""
@@ -233,7 +242,17 @@ class InitialConditions:
         return self.memo(("points", N), build)
 
     def contains_rhombus(self, r: Rhombus) -> bool:
-        return all(self.in_I(p) for p in r.vertices())
+        """in_I at each vertex, inline: the vertices lie at or below the top."""
+        i, j, k = r.top
+        if i > 0 or j > 0 or k > 0:
+            return False
+        u_fin = self.u_fin
+        for a, b, c in _CORNER_STEPS[r.axis]:
+            p = (i - a, j - b, k - c)
+            if p in u_fin or not (p[0] == 0 or p[1] == 0 or p[2] == 0
+                                  or (p[0] + 1, p[1] + 1, p[2] + 1) in u_fin):
+                return False
+        return True
 
     def rhombi_in_J(self, N: int | None = None) -> tuple[Rhombus, ...]:
         """All rhombi whose four vertices lie in the radius-N window."""
@@ -245,8 +264,9 @@ class InitialConditions:
         N = self.min_cutoff if N is None else N
 
         def build():
-            rhombi = (Rhombus(axis, p) for p in self.points_in_J(N) for axis in AXES)
-            return tuple(sorted(r for r in rhombi if self.contains_rhombus(r)))
+            # Axis first, then the sorted points: already in sorted order.
+            rhombi = (Rhombus(axis, p) for axis in AXES for p in self.points_in_J(N))
+            return tuple(r for r in rhombi if self.contains_rhombus(r))
 
         return self.memo(("rhombi", N), build)
 

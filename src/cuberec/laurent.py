@@ -342,6 +342,10 @@ class LaurentPoly:
         return len(self._terms)
 
     def coefficients(self) -> list[int]:
+        """The coefficients in canonical term order."""
+        coeffs = list(self._terms.values())
+        if len(set(coeffs)) <= 1:  # every order is the canonical one
+            return coeffs
         return [m.coeff for m in self.terms()]
 
     def variables(self) -> list[VarKey]:

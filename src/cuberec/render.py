@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .groves import Grove, _window, _window_edges
+from .groves import Grove, _window
 from .lattice import InitialConditions, PlanePoint, project
 
 LAYERS = frozenset(
@@ -109,12 +109,13 @@ def render_lattice(ic: InitialConditions, opts: RenderOptions | None = None) -> 
     """Rhombus outlines and graph edges of the radius-N window."""
 
     def edges(window, layers):
+        order = sorted(window.pos.items())
         if "long_edges" in layers:
-            for long, _, _ in window.edges.values():
-                yield "lattice-long", 0.04, long
+            for _, t in order:
+                yield "lattice-long", 0.04, window.long_ends[t]
         if "short_edges" in layers:
-            for _, short, _ in window.edges.values():
-                yield "lattice-short", 0.04, short
+            for _, t in order:
+                yield "lattice-short", 0.04, window.short_ends[t]
 
     return _render(ic, opts, edges)
 
@@ -123,23 +124,31 @@ def render_grove(g: Grove, opts: RenderOptions | None = None) -> str:
     """One edge per window rhombus: the grove's long edges emphasized."""
 
     def edges(window, layers):
-        for long, edge in _window_edges(g, window):
-            yield ("grove-long", 0.12, edge) if long else ("grove-short", 0.05, edge)
+        m = window.positions(g)
+        for _, t in sorted(window.pos.items()):
+            if m >> t & 1:
+                yield "grove-long", 0.12, window.long_ends[t]
+            else:
+                yield "grove-short", 0.05, window.short_ends[t]
 
     return _render(g.ic, opts, edges)
 
 
 def _render(ic: InitialConditions, opts: RenderOptions | None, edges) -> str:
-    """Outlines, the (class, width, edge) triples of edges(window, layers), decorations."""
+    """Outlines, the (class, width, edge) triples of edges(window, layers), decorations.
+
+    An edge is a pair of window-point indices; rhombi go in sorted order.
+    """
     opts = opts or RenderOptions()
     N = ic.min_odd_cutoff if opts.N is None else opts.N
     window = _window(ic, N)
     canvas = _Canvas(opts.scale)
     if "rhombi" in opts.layers:
-        for r in window.edges:
+        for r in sorted(window.pos):
             canvas.polygon(r.corners(), "rhombus")
+    points = window.points
     for cls, width, (a, b) in edges(window, opts.layers):
-        canvas.line(project(a), project(b), cls, width * opts.scale)
+        canvas.line(project(points[a]), project(points[b]), cls, width * opts.scale)
     if "boundary_classes" in opts.layers:
         for ci, cls in enumerate(window.classes):
             color = _CLASS_COLORS[ci % len(_CLASS_COLORS)]

@@ -269,3 +269,106 @@ def test_render_bad_grove_file_exits_2(tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2, path.name
+
+
+def _decoded_forest(ic, N, long_edges, keep=lambda edge: True):
+    """Union-find over the decoded radius-N edges that keep accepts: the long
+    edge on each rhombus in long_edges, else the short one.  The parent map,
+    and whether an edge closed a cycle."""
+    parent, cyclic = {}, False
+
+    def find(p):
+        while parent.get(p, p) != p:
+            p = parent[p]
+        return p
+
+    for r in ic.rhombi_in_J(N):
+        edge = r.long_edge() if r in long_edges else r.short_edge()
+        if keep(edge):
+            u, v = map(find, edge)
+            cyclic |= u == v
+            parent[u] = v
+    return find, cyclic
+
+
+def _even_components_off(ic, g):
+    N = ic.min_odd_cutoff
+    find, _ = _decoded_forest(ic, N, g.long_edges, lambda edge: sum(edge[0]) % 2 == 0)
+    even = [p for p in ic.points_in_J(N) if sum(p) % 2 == 0]
+    return len({find(p) for p in even}) != (3 * N + 5) // 2
+
+
+def _degrees_outside(ic, g):
+    x = {v[1:]: e for v, e in groves.monomial_of(g).exps if v[0] == laurent.TAG_X}
+    return any(not 1 <= 2 + x.get(p, 0) <= 6 for p in ic.points_in_J(ic.min_cutoff))
+
+
+def _parity_broken(long_edges):
+    n = [sum(r.axis == a for r in long_edges) for a in lattice.AXES]
+    return any((sum(n) - 2 * c) < 0 or (sum(n) - 2 * c) % 2 for c in n)
+
+
+REFERENCES = {
+    "acyclic": lambda ic, g: _decoded_forest(ic, ic.min_cutoff, g.long_edges)[1],
+    "triineq": lambda ic, g: _parity_broken(g.long_edges),
+    "degrees": _degrees_outside,
+    "simplified": _even_components_off,
+}
+
+
+def test_grove_properties_fail_exactly_when_their_references_do():
+    # Groves with one or two mask bits flipped are mostly not groves; each
+    # property must name one exactly when a reference that decodes the long
+    # edges finds it at fault.
+    rng = random.Random(1212)
+    ics = [lattice.standard(3), lattice.standard(4), lattice.kleber(2, 2, 2),
+           lattice.gale_robinson(4, 1, 2, 11)] + [random_ic(rng) for _ in range(4)]
+    failed = dict.fromkeys(REFERENCES, 0)
+    for ic in ics:
+        ctx = cli._VerifyContext(ic, 18)
+        ctx["f_sym"] = laurent.LaurentPoly.constant(1)  # passes the polynomial's own checks
+        n = len(groves._window(ic, ic.min_cutoff).rhombi)
+        masks = sorted(g.mask for g in groves.enumerate_local_moves(ic))
+        for mask in rng.sample(masks, min(len(masks), 6)):
+            flips = [1 << t for t in range(n)]
+            flips += [1 << rng.randrange(n) | 1 << rng.randrange(n) for _ in range(4)]
+            for flip in flips:
+                g = groves._grove(ic, mask ^ flip)
+                ctx["groves"] = [g]
+                for name, reference in REFERENCES.items():
+                    witness = cli.PROPERTIES[name](ic, ctx)
+                    assert (witness is not None) == reference(ic, g), (name, ic, g)
+                    assert witness is None or cli._named(g) in witness
+                    failed[name] += witness is not None
+                # The simplified grove sees only the even edges, so it may
+                # miss a fault of the whole graph, but never reports one it lacks.
+                if cli.PROPERTIES["simplified"](ic, ctx) is not None:
+                    assert groves.check_grove(g, ic.min_odd_cutoff) is not None
+    assert min(failed.values()) > 10, failed
+
+
+def test_injectivity_names_both_groves_of_a_repeat():
+    ic = lattice.standard(3)
+    gs = cli._sorted_groves(groves.enumerate_local_moves(ic))
+    ctx = cli._VerifyContext(ic, 18)
+    ctx["groves"] = gs
+    assert cli.PROPERTIES["injectivity"](ic, ctx) is None
+    ctx["groves"] = gs + [gs[4]]
+    witness = cli.PROPERTIES["injectivity"](ic, ctx)
+    line = cli._named(gs[4])
+    assert witness == f"groves {line} and {line} share a degree table"
+    assert groves.grove_from_json(ic, json.loads(line)) == gs[4]
+
+
+def test_coeffone_witness_names_the_grove(monkeypatch):
+    # The law holds for every mask, so fake one failing quadrant sum.
+    ic = lattice.standard(3)
+    ctx = cli._VerifyContext(ic, 18)
+    g = ctx["groves"][2]
+    assert cli.PROPERTIES["coeffone"](ic, ctx) is None
+    r = groves._window(ic, ic.min_cutoff).rhombi[0]
+    monkeypatch.setattr(groves._Window, "quadrant_fields", lambda self, mask: mask == g.mask)
+    monkeypatch.setattr(groves, "quadrant_sums", lambda g: {r: 5})
+    witness = cli.PROPERTIES["coeffone"](ic, ctx)
+    expected = -(g.mask & 1)
+    assert witness == f"quadrant sum 5 at {r}, expected {expected}, in grove {cli._named(g)}"

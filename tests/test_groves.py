@@ -520,3 +520,46 @@ def test_shift_octa_grove_filter():
     gs = enumerate_local_moves(ONE_STEP)
     kept = [g for g in gs if (lambda s: s.n_a + s.n_b == s.n_c)(stats(g))]
     assert len(kept) == 2
+
+
+def _x_exponents(g):
+    return {v[1:]: e for v, e in monomial_of(g).exps if v[0] == TAG_X}
+
+
+def test_packed_tables_agree_with_the_monomial():
+    # The degree and coefficient-one tables against the monomial route, on
+    # enumerated groves, masks with a bit flipped, and hand-built groves with
+    # long edges beyond the minimal window (which change neither).
+    rng = random.Random(1203)
+    here, near, deep = Rhombus("b", (0, 0, 0)), Rhombus("a", (0, 0, -1)), Rhombus("a", (0, -2, -2))
+    cases = [(EMPTY, [Grove(EMPTY, [here, near, deep]), Grove(EMPTY, [near])])]
+    for ic in [random_ic(rng, depth=1, boxes=4) for _ in range(8)] + [lattice.kleber(2, 2, 2)]:
+        gs = sorted(enumerate_local_moves(ic), key=grove_key)[:20]
+        n = len(groves._window(ic, ic.min_cutoff).rhombi)
+        flipped = [groves._grove(ic, g.mask ^ 1 << rng.randrange(n)) for g in gs]
+        cases.append((ic, gs + flipped))
+    for ic, gs in cases:
+        points = ic.points_in_J(ic.min_cutoff)
+        for g in gs:
+            x = _x_exponents(g)
+            assert grove_degrees(g) == {p: 2 + x.get(p, 0) for p in points}, (ic, g)
+            sums = quadrant_sums(g)
+            assert sums == {r: coeffone_sums(g, r) for r in ic.rhombi_in_J(ic.min_cutoff)}
+            window = groves._window(ic, ic.min_cutoff)
+            passes = all(s == -(r in g.long_edges) for r, s in sums.items())
+            assert (window.quadrant_fields(g.mask) == 0) == passes, (ic, g)
+
+
+def test_packed_fields_refuse_values_outside_them():
+    assert groves._pack([3, -1, 2], 4, -8, 8) == 3 - (1 << 4) + (2 << 8)
+    assert groves._unpack_signed(3 - (1 << 4) + (2 << 8), 4, 3) == [3, -1, 2]
+    for values in ([8], [0, -9], [128]):
+        with pytest.raises(groves.FieldOverflow):
+            groves._pack(values, 4, -8, 8)
+    assert issubclass(groves.FieldOverflow, ValueError)
+    # Degree bytes hold 0..127; bit 7 stays free for the range test.
+    window = groves._window(lattice.standard(3), 2)
+    base, _ = window.degree_tables
+    assert window.degrees_within(base, 0, 127)
+    with pytest.raises(groves.FieldOverflow):
+        groves._pack([groves._DEGREE_LIMIT], groves._DEGREE_BITS, 0, groves._DEGREE_LIMIT)
