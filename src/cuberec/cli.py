@@ -267,6 +267,15 @@ def _prop_triineq(ic, ctx):
 
 
 def _prop_coeffone(ic, ctx):
+    """Coefficient one: the polynomial's coefficients, then each grove's quadrant law.
+
+    Only the polynomial half can fail: it catches a coefficient other than 1,
+    such as a grove monomial counted twice.  The per-grove half (each
+    rhombus's quadrant sum of degree - 2 is minus its bit) is an identity of
+    the lattice that holds for every set of long edges, grove or not, so it
+    cannot catch a broken grove; ``acyclic``, ``degrees`` and ``simplified``
+    check the groves.
+    """
     bad = [c for c in ctx["f_sym"].coefficients() if c != 1]
     if bad:
         return f"non-unit coefficients {bad[:5]}"

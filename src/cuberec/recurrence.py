@@ -20,18 +20,27 @@ where the coefficient system depends on the mode:
     custom      A,B,C are fixed monomials in the indeterminate t
 
 Three evaluators are provided.  f_symbolic and f_numeric share one walk up
-the peel sequence (_walk), over Laurent polynomials with exact division and
-over rationals respectively; only the ring differs.  f_via_substitution is
-kept independent of that walk, so it checks f_symbolic: it starts from the
-trivial ideal and, along the reversed peel sequence, replaces each restored
-point's variable by its recurrence step, the three-term numerator over the
-diagonal predecessor's variable, with one ``laurent.substitute``.  By the
-Laurent phenomenon every intermediate result is a Laurent polynomial, so the
-exact division inside each substitution never leaves a remainder.  f_numeric
-is checked independently by the one-dimensional Gale-Robinson recursion in
-``sequences`` and by evaluating f_symbolic's polynomial.  The two-term
-specialization is checked against its own index-transformed recurrence
-(_g_transform_poly), which also stays off the walk.
+the peel sequence (_walk); only the ring's step differs.  A step sums the
+coefficient-weighted neighbour products and divides exactly by the diagonal
+value: over Laurent polynomials with products, sums and ``div_exact``
+(_laurent_step), over rationals with one kernel on reduced (numerator,
+denominator) int pairs (_rational_step), which needs one ``divmod`` per step
+and a ``gcd`` only when that leaves a remainder.  f_numeric converts each
+assigned value to a pair once and the origin value back to a Fraction at the
+end.  The one-dimensional Gale-Robinson recursion in ``sequences`` takes the
+same two steps.  f_via_substitution is kept independent of that walk, so it
+checks f_symbolic: it starts from the trivial ideal and, along the reversed
+peel sequence, replaces each restored point's variable by its recurrence
+step, the three-term numerator over the diagonal predecessor's variable, with
+one ``laurent.substitute``.  By the Laurent phenomenon every intermediate
+result is a Laurent polynomial, so the exact division inside each
+substitution never leaves a remainder.  f_numeric is checked by the
+Gale-Robinson recursion, which shares its rational kernel but not its walk,
+and by evaluating f_symbolic's polynomial, which shares no rational step with
+it: Laurent arithmetic, then ``laurent.evaluate``'s sum over one common
+denominator.  The two-term specialization is checked against its own
+index-transformed recurrence (_g_transform_poly), which also stays off the
+walk.
 """
 
 from __future__ import annotations
@@ -39,6 +48,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 from . import laurent
@@ -106,14 +116,15 @@ def _neighbor_scheme(w: Point3):
     return pairs, (i - 1, j - 1, k - 1)
 
 
-def _coeffs(w: Point3, mode, weight) -> tuple:
+def _coeffs(w: Point3, mode, weight, mul=operator.mul, one=1) -> tuple:
     """The three coefficients at w, in the ring of ``weight``.
 
-    ``weight(v, exp, coeff)`` is coeff * v**exp in that ring.  Shift-octa
-    coefficients are plain integers, which act in either ring.
+    ``weight(v, exp, coeff)`` is coeff * v**exp in that ring, ``mul`` its
+    product and ``one`` its unit.  A vanishing coefficient is falsy in either
+    ring, so the walk reads no value it would multiply by zero.
     """
     if mode == MODE_SHIFT_OCTA:
-        return (1, 1, 0)
+        return (one, one, 0)
     if mode == MODE_ABC:
         return (weight(ALPHA), weight(BETA), weight(GAMMA))
     i, j, k = w
@@ -123,38 +134,90 @@ def _coeffs(w: Point3, mode, weight) -> tuple:
         a, b, c = (weight(T, exp, coeff) for coeff, exp in (mode.a, mode.b, mode.c))
     else:
         raise ValueError(f"unsupported mode {mode!r}")
-    return (b * c, c * a, a * b)
+    return (mul(b, c), mul(c, a), mul(a, b))
 
 
-def _walk(ic: InitialConditions, leaf, coeffs, divide):
+def _laurent_step(terms, den: LaurentPoly) -> LaurentPoly:
+    """The sum of ``coeff * v1 * v2`` over ``terms``, divided exactly by ``den``.
+
+    A zero ``den`` raises ZeroDivisionError, which the callers name.
+    """
+    if not den:
+        raise ZeroDivisionError("division by the zero polynomial")
+    num = 0
+    for coeff, v1, v2 in terms:
+        product = coeff * v1 * v2
+        # The sum starts at the first product; adding that to 0 would copy it.
+        num = num + product if num else product
+    return div_exact(num, den) if num else LaurentPoly.zero()
+
+
+def _rational_step(terms, den: tuple[int, int]) -> tuple[int, int]:
+    """The same step over rationals held as (numerator, denominator) int pairs.
+
+    Every value is in lowest terms with a positive denominator, and so is the
+    result; a coefficient need only have a nonzero denominator.  The terms
+    are summed over one common denominator and multiplied by the reciprocal
+    of ``den``, and the sign goes to the numerator.  From an integer start the
+    quotient is an integer by the Laurent phenomenon, so one ``divmod``
+    settles it; only a remainder costs a ``gcd``, of the remainder and the
+    denominator.  A zero ``den`` raises ZeroDivisionError.
+    """
+    dn, dd = den
+    if not dn:
+        raise ZeroDivisionError("division by zero")
+    num, d = 0, 1
+    for (cn, cd), (n1, d1), (n2, d2) in terms:
+        td = cd * d1 * d2
+        num, d = num * td + cn * n1 * n2 * d, d * td
+    num, d = num * dd, d * dn
+    if d < 0:
+        num, d = -num, -d
+    q, r = divmod(num, d)
+    if not r:
+        return (q, 1)
+    g = gcd(r, d)
+    return (num // g, d // g)
+
+
+def _as_pair(x: Fraction | int) -> tuple[int, int]:
+    """A rational as the reduced (numerator, denominator) pair _rational_step takes."""
+    x = Fraction(x)
+    return (x.numerator, x.denominator)
+
+
+def _walk(ic: InitialConditions, leaf, coeffs, step):
     """The origin value of the cube recurrence, in any ring.
 
-    ``leaf(p)`` is the value at an initial point p, ``coeffs(w)`` the three
-    coefficients at w and ``divide(num, den)`` the exact quotient.  Points of
-    u_fin are visited in peel order, so the eight values below each one are
-    known or initial.
+    ``leaf(p)`` is the value at an initial point p, read once, ``coeffs(w)``
+    the three coefficients at w and ``step(terms, den)`` the sum of
+    ``coeff * v1 * v2`` over the (coeff, v1, v2) ``terms`` divided exactly by
+    ``den``, raising ZeroDivisionError when ``den`` is zero.  Points of u_fin
+    are visited in peel order, so the eight values below each one are known
+    or initial.
     """
     memo = {}
 
     def value(p: Point3):
         got = memo.get(p)
-        if got is not None:
-            return got
-        if not ic.in_I(p):
-            raise RecursionEscaped(p)
-        return leaf(p)
+        if got is None:
+            if not ic.in_I(p):
+                raise RecursionEscaped(p)
+            got = memo[p] = leaf(p)
+        return got
 
     for w in ic.peel_sequence():
         pairs, d = _neighbor_scheme(w)
-        num = 0
-        for coeff, (p1, p2) in zip(coeffs(w), pairs):
-            if coeff:
-                num = num + coeff * value(p1) * value(p2)
+        terms = [
+            (coeff, value(p1), value(p2))
+            for coeff, (p1, p2) in zip(coeffs(w), pairs)
+            if coeff
+        ]
         den = value(d)
-        if not den:
-            raise DivisionByZeroDuringRecursion(d)
-        # A zero num may still be the integer 0, if every coefficient vanished.
-        memo[w] = divide(num, den) if num else 0 * den
+        try:
+            memo[w] = step(terms, den)
+        except ZeroDivisionError:
+            raise DivisionByZeroDuringRecursion(d) from None
 
     return value((0, 0, 0))
 
@@ -167,7 +230,7 @@ def f_symbolic(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPoly:
         ic,
         lambda p: LaurentPoly.variable(xvar(*p)),
         lambda w: _coeffs(w, mode, LaurentPoly.variable),
-        div_exact,
+        _laurent_step,
     )
 
 
@@ -235,24 +298,40 @@ def f_numeric(
     """
     if mode == MODE_ALL_ONES:
         mode = MODE_EDGE_VARS  # the ones come from ``assign`` being None
+    # A coefficient variable recurs at many points; each converts once.  The
+    # walk reads each initial point's value once.
+    coefficient_values: dict[VarKey, tuple[int, int]] = {}
 
-    def lookup(v: VarKey) -> Fraction:
+    def lookup(v: VarKey) -> tuple[int, int]:
         if assign is None:
-            return Fraction(1)
-        if v in assign:
-            return Fraction(assign[v])
-        raise laurent.UnassignedVariable(laurent.var_name(v))
+            return (1, 1)
+        if v not in assign:
+            raise laurent.UnassignedVariable(laurent.var_name(v))
+        return _as_pair(assign[v])
 
-    def weight(v: VarKey, exp: int = 1, coeff: int = 1) -> Fraction:
-        x = lookup(v)
-        return x if exp == 1 and coeff == 1 else coeff * x**exp
+    def weight(v: VarKey, exp: int = 1, coeff: int = 1):
+        # A pair, or 0 when the weight vanishes, so that _coeffs' test sees it.
+        x = coefficient_values.get(v)
+        if x is None:
+            x = coefficient_values[v] = lookup(v)
+        n, d = x
+        if exp < 0:
+            if not n:
+                raise laurent.ZeroToNegativePower(laurent.var_name(v))
+            n, d, exp = d, n, -exp
+        n = coeff * n**exp
+        return (n, d**exp) if n else 0
 
-    return _walk(
+    def mul(x, y):
+        return (x[0] * y[0], x[1] * y[1]) if x and y else 0
+
+    n, d = _walk(
         ic,
         lambda p: lookup(xvar(*p)),
-        lambda w: _coeffs(w, mode, weight),
-        operator.truediv,
+        lambda w: _coeffs(w, mode, weight, mul, (1, 1)),
+        _rational_step,
     )
+    return Fraction(n, d)
 
 
 @dataclass(frozen=True)

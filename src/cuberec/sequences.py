@@ -16,7 +16,6 @@ independent reference for the renamed cube-recurrence polynomial
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -27,7 +26,6 @@ from .laurent import (
     GAMMA,
     TAG_X,
     LaurentPoly,
-    div_exact,
     rename_variables,
     yvar,
 )
@@ -55,12 +53,13 @@ SOMOS6 = GaleRobinsonSpec(1, 2, 3)
 SOMOS7 = GaleRobinsonSpec(4, 1, 2)
 
 
-def _gr_extend(spec: GaleRobinsonSpec, terms: list, coeffs, count: int, divide) -> list:
+def _gr_extend(spec: GaleRobinsonSpec, terms: list, coeffs, count: int, step) -> list:
     """Extend the n initial ``terms`` in place to ``count`` terms of the recurrence.
 
-    ``coeffs`` are alpha, beta, gamma in the ring of the terms and
-    ``divide(num, den)`` is its exact division; a ``count`` below n keeps the
-    first ``count`` initial terms.
+    ``coeffs`` are alpha, beta, gamma in the ring of the terms and ``step`` is
+    that ring's recurrence step (``recurrence._laurent_step`` or
+    ``recurrence._rational_step``); a ``count`` below n keeps the first
+    ``count`` initial terms.
     """
     n, p, q, r = spec.n, spec.p, spec.q, spec.r
     alpha, beta, gamma = coeffs
@@ -68,29 +67,35 @@ def _gr_extend(spec: GaleRobinsonSpec, terms: list, coeffs, count: int, divide) 
     while len(terms) < count:
         m = len(terms)
         l = m - n
-        if not terms[l]:
-            raise ZeroDivisionError(f"term y_{l} is zero")
-        num = (
-            alpha * terms[l + p] * terms[m - p]
-            + beta * terms[l + q] * terms[m - q]
-            + gamma * terms[l + r] * terms[m - r]
+        products = (
+            (alpha, terms[l + p], terms[m - p]),
+            (beta, terms[l + q], terms[m - q]),
+            (gamma, terms[l + r], terms[m - r]),
         )
-        terms.append(divide(num, terms[l]))
+        try:
+            terms.append(step(products, terms[l]))
+        except ZeroDivisionError:
+            raise ZeroDivisionError(f"term y_{l} is zero") from None
     return terms
 
 
 def gr_terms(
     spec: GaleRobinsonSpec, count: int, initial: list[Fraction] | None = None
 ) -> list[Fraction]:
-    """First ``count`` terms by exact rational recursion (default all-ones start)."""
+    """First ``count`` terms by exact rational recursion (default all-ones start).
+
+    The terms are carried as reduced (numerator, denominator) int pairs and
+    become ``Fraction``s on the way out.
+    """
     n = spec.n
-    terms = [Fraction(v) for v in (initial if initial is not None else [1] * n)]
+    terms = [recurrence._as_pair(v) for v in (initial if initial is not None else [1] * n)]
     if len(terms) != n:
         raise ValueError(f"need exactly {n} initial terms")
     if count < 0:
         raise ValueError(f"count must be >= 0, not {count}")
-    coeffs = (spec.alpha, spec.beta, spec.gamma)
-    return _gr_extend(spec, terms, coeffs, count, operator.truediv)
+    coeffs = [recurrence._as_pair(c) for c in (spec.alpha, spec.beta, spec.gamma)]
+    _gr_extend(spec, terms, coeffs, count, recurrence._rational_step)
+    return [Fraction(num, den) for num, den in terms]
 
 
 def gr_symbolic(spec: GaleRobinsonSpec, l: int) -> LaurentPoly:
@@ -103,7 +108,7 @@ def gr_symbolic(spec: GaleRobinsonSpec, l: int) -> LaurentPoly:
         raise ValueError(f"l must be >= 0, not {l}")
     terms = [LaurentPoly.variable(yvar(m)) for m in range(spec.n)]
     coeffs = tuple(LaurentPoly.variable(v) for v in (ALPHA, BETA, GAMMA))
-    return _gr_extend(spec, terms, coeffs, l + 1, div_exact)[l]
+    return _gr_extend(spec, terms, coeffs, l + 1, recurrence._laurent_step)[l]
 
 
 def gr_renamed_cube_poly(spec: GaleRobinsonSpec, l: int) -> LaurentPoly:

@@ -18,6 +18,7 @@ from cuberec.laurent import (
     cvar,
     evaluate,
     xvar,
+    yvar,
 )
 from cuberec.lattice import InitialConditions
 from cuberec.recurrence import (
@@ -32,7 +33,7 @@ from cuberec.recurrence import (
     f_via_substitution,
     octahedron_check,
 )
-from cuberec.sequences import GaleRobinsonSpec, gr_terms
+from cuberec.sequences import GaleRobinsonSpec, gr_symbolic, gr_terms
 
 
 def mono(*items):
@@ -207,3 +208,94 @@ def test_x_exponent_range():
     for ic in (ONE_STEP, lattice.standard(4), lattice.kleber(2, 2, 2)):
         lo, hi = f_symbolic(ic).exponent_range(laurent.TAG_X)
         assert lo >= -1 and hi <= 4
+
+
+class RandomPoint(dict):
+    """Every variable is assigned: a seeded nonzero rational of either sign, drawn on first read."""
+
+    def __init__(self, rng: random.Random):
+        super().__init__()
+        self.rng = rng
+
+    def __contains__(self, v):
+        return True
+
+    def __missing__(self, v):
+        x = self[v] = Fraction(self.rng.choice((-1, 1)) * self.rng.randint(1, 3),
+                               self.rng.randint(1, 2))
+        return x
+
+
+def test_numeric_matches_symbolic_across_modes_and_signs():
+    rng = random.Random(2004)
+    # A negative coefficient and a negative exponent.
+    custom = CustomMode(a=(-2, 1), b=(1, -1), c=(3, 2))
+    modes = (MODE_EDGE_VARS, MODE_ABC, MODE_SHIFT_OCTA, custom)
+    agreed = vanished = 0
+    for _ in range(40):
+        ic = random_ic(rng, depth=1)
+        for mode in modes:
+            poly = f_symbolic(ic, mode)
+            for _ in range(6):
+                point = RandomPoint(rng)
+                try:
+                    value = f_numeric(ic, point, mode)
+                except DivisionByZeroDuringRecursion as err:
+                    # Every assigned value is nonzero, so a computed one vanished.
+                    assert err.point in ic.u_fin
+                    vanished += 1
+                    continue
+                assert value == evaluate(poly, point), (ic, mode)
+                agreed += 1
+    assert vanished > 0 and agreed > 20 * vanished, (agreed, vanished)
+
+
+def test_gr_terms_match_symbolic_terms_at_signed_points():
+    rng = random.Random(2005)
+    agreed = 0
+    for p, q, r, top in ((1, 2, 3, 13), (4, 1, 2, 13), (2, 3, 5, 16)):
+        n = p + q + r
+        for _ in range(4):
+            coeffs = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(3)]
+            coeffs[rng.randrange(3)] *= -1
+            initial = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+                       for _ in range(n)]
+            spec = GaleRobinsonSpec(p, q, r, *coeffs)
+            point = {yvar(m): initial[m] for m in range(n)}
+            point.update(zip((ALPHA, BETA, GAMMA), coeffs))
+            terms = gr_terms(spec, top + 1, initial)
+            for l in range(top + 1):
+                assert terms[l] == evaluate(gr_symbolic(spec, l), point), (spec, l)
+                agreed += 1
+    assert agreed == 4 * (14 + 14 + 17)
+
+
+def test_computed_zero_diagonal_value_reports_point():
+    # With every other variable 1, the value computed at (-1,-1,-1) is
+    # (1 + 1 - 2) / 1 = 0, and (0,0,0) divides by it.
+    ic = lattice.standard(5)
+    assign = {v: 1 for v in f_symbolic(ic).variables()} | {xvar(-2, -2, -1): -2}
+    with pytest.raises(DivisionByZeroDuringRecursion) as err:
+        f_numeric(ic, assign)
+    assert err.value.point == (-1, -1, -1)
+    assert str(err.value) == "recurrence value vanished at (-1, -1, -1)"
+
+
+def test_unassigned_variable_only_when_read():
+    step = dict.fromkeys(ONE_STEP_POLY.variables(), Fraction(2))
+    for missing in ONE_STEP_POLY.variables():
+        with pytest.raises(laurent.UnassignedVariable) as err:
+            f_numeric(ONE_STEP, {v: x for v, x in step.items() if v != missing})
+        assert err.value.args == (laurent.var_name(missing),)
+    # A zero a(0,0) kills the second and third terms, whose four points are then never read.
+    unread = {xvar(0, -1, 0), xvar(-1, 0, -1), xvar(0, 0, -1), xvar(-1, -1, 0)}
+    assign = {v: x for v, x in step.items() if v not in unread} | {avar(0, 0): 0}
+    assert f_numeric(ONE_STEP, assign) == 8  # b*c * x(-1,0,0) * x(0,-1,-1) / x(-1,-1,-1)
+    # Shift-octa reads no edge variable.
+    octa = {v: x for v, x in step.items() if v[0] == laurent.TAG_X}
+    assert f_numeric(ONE_STEP, octa, MODE_SHIFT_OCTA) == 4  # (2*2 + 2*2) / 2
+
+
+def test_numeric_standard_grove_counts_to_order_30():
+    for n in range(7, 31):
+        assert f_numeric(lattice.standard(n)) == 3 ** (n * n // 4), f"order {n}"

@@ -1,6 +1,10 @@
 """Gale-Robinson terms, certificates, and the symbolic reduction."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -118,3 +122,24 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         gr_symbolic(GaleRobinsonSpec(1, 1, 1), -2)
     assert SOMOS7.n == 7
+
+
+def test_computed_zero_term_raises():
+    # Unit start and gamma = -2: y_6 = (1 + 1 - 2) / 1 = 0, and y_12 divides by it.
+    spec = GaleRobinsonSpec(1, 2, 3, gamma=Fraction(-2))
+    assert gr_terms(spec, 7)[6] == 0
+    assert gr_terms(spec, 12)[6:] == [0, -1, -3, -4, -6, -14]
+    with pytest.raises(ZeroDivisionError) as err:
+        gr_terms(spec, 13)
+    assert str(err.value) == "term y_6 is zero"
+
+
+def test_computed_zero_term_exits_2_from_the_command_line():
+    src = str(Path(laurent.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "cuberec", "sequence", "--gr", "1,2,3", "--gamma", "-2",
+         "--count", "13"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert out.returncode == 2 and out.stdout == ""
+    assert out.stderr == "error: sequence: term y_6 is zero\n"
