@@ -267,26 +267,19 @@ def _prop_triineq(ic, ctx):
 
 
 def _prop_coeffone(ic, ctx):
-    """Coefficient one: the polynomial's coefficients, then each grove's quadrant law.
+    """Coefficient one: the polynomial's coefficients, then the quadrant law on the window.
 
-    Only the polynomial half can fail: it catches a coefficient other than 1,
-    such as a grove monomial counted twice.  The per-grove half (each
-    rhombus's quadrant sum of degree - 2 is minus its bit) is an identity of
-    the lattice that holds for every set of long edges, grove or not, so it
-    cannot catch a broken grove; ``acyclic``, ``degrees`` and ``simplified``
-    check the groves.
+    The polynomial half catches a coefficient other than 1, such as a grove
+    monomial counted twice.  The grove half (each rhombus's quadrant sum of
+    degree - 2 is minus its bit) is linear in the mask, so it is checked once
+    on the minimal window, for every set of long edges (_Window.quadrant_fault);
+    no grove is built.  A grove breaking the law would break it there too.
+    ``acyclic``, ``degrees`` and ``simplified`` check the groves themselves.
     """
     bad = [c for c in ctx["f_sym"].coefficients() if c != 1]
     if bad:
         return f"non-unit coefficients {bad[:5]}"
-    window = groves._window(ic, ic.min_cutoff)
-    for g in ctx["groves"]:
-        if window.quadrant_fields(g.mask):
-            for t, (r, s) in enumerate(groves.quadrant_sums(g).items()):  # r has bit t
-                expected = -(g.mask >> t & 1)
-                if s != expected:
-                    return f"quadrant sum {s} at {r}, expected {expected}, in grove {_named(g)}"
-    return None
+    return groves._window(ic, ic.min_cutoff).quadrant_fault
 
 
 def _prop_degrees(ic, ctx):
@@ -323,13 +316,22 @@ def _prop_rhombcount(ic, ctx):
 
 
 def _prop_simplified(ic, ctx):
+    """Simplified groves: distinct even edges in the window, then each grove's component count.
+
+    With distinct even edges, from_simplified inverts to_simplified on every
+    mask in the window, and a grove whose round trip failed would share an
+    even edge between two positions; so the round trip is checked once here.
+    """
     N = ic.min_odd_cutoff
+    window = groves._window(ic, N)
+    _, edges, even_bit, _ = window.even_tables
+    if len(even_bit) < len(edges):  # even_bit keeps each edge's last position
+        t = next(t for t, e in enumerate(edges) if even_bit[e] != 1 << t)
+        u = even_bit[edges[t]].bit_length() - 1
+        return f"rhombi {window.rhombi[t]} and {window.rhombi[u]} share the even edge {edges[t]}"
     want = (3 * N + 5) // 2
     for g in ctx["groves"]:
-        s = groves.to_simplified(g, N)
-        if groves.from_simplified(s) != g:
-            return f"simplified grove round trip failed for grove {_named(g)}"
-        c = groves.simplified_components(s)
+        c = groves.simplified_components(groves.to_simplified(g, N))
         if c != want:
             return f"simplified grove has {c} components, expected {want}, in grove {_named(g)}"
     return None
@@ -428,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--mode", default="edge-vars",
                      choices=["edge-vars", "abc", "all-ones", "shift-octa"])
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_compute)
 
     sub = subs.add_parser("enumerate", help="list groves as JSON lines")
     _add_ic_args(sub)
@@ -437,7 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--cutoff", type=int, default=None)
     sub.add_argument("--brute-cap", type=int, default=18)
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_enumerate)
 
     sub = subs.add_parser("verify", help="run property suites")
     _add_ic_args(sub, multiple=True)
@@ -445,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma-separated subset of: " + ",".join(PROPERTIES))
     sub.add_argument("--brute-cap", type=int, default=18)
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("sequence", help="Gale-Robinson terms and certificates")
     sub.add_argument("--gr", required=True, type=lambda s: [int(v) for v in s.split(",")],
@@ -456,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--beta", type=int, default=1)
     sub.add_argument("--gamma", type=int, default=1)
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_sequence)
 
     sub = subs.add_parser("render", help="write an SVG figure")
     sub.add_argument("target", choices=["lattice", "grove", "asm"])
@@ -467,14 +465,18 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--grove-index", type=int, default=0)
     sub.add_argument("--grove-file")
     sub.add_argument("--out")
-    sub.set_defaults(func=cmd_render)
 
     return parser
 
 
+# Built once, at import; each command runs as the module's cmd_<command>,
+# looked up on every call so that a patched module attribute takes effect.
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    args = _PARSER.parse_args(argv)
+    return globals()[f"cmd_{args.command}"](args)
 
 
 if __name__ == "__main__":

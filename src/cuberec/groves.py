@@ -16,14 +16,19 @@ classes.  What all groves of one ideal share at one radius is built once
 (_window): int tables indexed by bit, which every per-grove view reads the
 mask through.  Each bit's long and short edge are pairs of window-point
 indices, behind acyclicity, connectivity, simplified groves and pictures.
-A long edge in place of a short one changes the degrees, and the quadrant
-sums of the coefficient-one law, by fixed amounts, so the base grove's
-values packed one field per point or per rhombus, plus the packed changes of
-the set bits (summed eight bits at a time from subset tables), give a
-grove's degree table or its coefficient-one test as one int (Knuth, TAOCP 4A
-7.1.3).  Axis counts are popcounts.  The same holds for the monomial: it is
-the base grove's times a fixed step per set bit.  monomial_of and
-coeffone_sums decode it instead, as independent routes for the tests.
+A long edge in place of a short one changes the degrees by fixed amounts,
+so the base grove's degrees packed one byte per point, plus the packed
+changes of the set bits (summed eight bits at a time from subset tables),
+give a grove's degree table as one int (Knuth, TAOCP 4A 7.1.3).  Axis counts
+are popcounts.  The same holds for the monomial: it is the base grove's times
+a fixed step per set bit.  monomial_of and coeffone_sums decode it instead,
+as independent routes for the tests.
+
+Two facts the paper states about the lattice are checked once per window,
+not per grove, as both hold for a whole window or fail on it: the
+coefficient-one law (_Window.quadrant_fault), which is linear in the mask,
+and the injectivity of simplified groves (distinct even edges, which
+_Window.even_tables maps back to positions).
 
 Enumeration comes in two independent flavours:
 
@@ -95,40 +100,6 @@ def _check_contained(ic: InitialConditions, rhombi: Collection[Rhombus]) -> None
     for r in rhombi:
         if not ic.contains_rhombus(r):
             raise ValueError(f"rhombus {r} is not contained in the initial conditions")
-
-
-class _DisjointSet:
-    """Array union-find with union by rank and an operation log for undo."""
-
-    __slots__ = ("parent", "rank", "log")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.log = []
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def union(self, x: int, y: int) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        if self.rank[rx] < self.rank[ry]:
-            rx, ry = ry, rx
-        self.parent[ry] = rx
-        bumped = self.rank[rx] == self.rank[ry]
-        self.rank[rx] += bumped
-        self.log.append((ry, rx, bumped))
-        return True
-
-    def undo(self) -> None:
-        ry, rx, bumped = self.log.pop()
-        self.parent[ry] = ry
-        self.rank[rx] -= bumped
 
 
 class Grove:
@@ -251,17 +222,6 @@ def _pack(values: Iterable[int], width: int, lo: int, hi: int) -> int:
             raise FieldOverflow(f"{v} in field {i} lies outside [{lo}, {hi})")
         total += v << width * i
     return total
-
-
-def _unpack_signed(total: int, width: int, count: int) -> list[int]:
-    """The first count signed width-bit fields of a _pack sum."""
-    fields, full, half = [], (1 << width) - 1, 1 << width - 1
-    for _ in range(count):
-        v = total & full
-        v -= (v >= half) << width
-        fields.append(v)
-        total = (total - v) >> width
-    return fields
 
 
 def _subset_sums(values: list[int]) -> list[list[int]]:
@@ -461,42 +421,33 @@ class _Window:
         return int.from_bytes(b"\x01" * len(self.points), "little")
 
     @cached_property
-    def quadrant_tables(self) -> tuple[int, list[list[int]], int]:
-        """The packed coefficient-one test: base, the bits' subset sums, field width.
+    def quadrant_fault(self) -> str | None:
+        """Where the coefficient-one law fails for some set of long edges; None when it never does.
 
-        Field t holds coeffone_sums at rhombus t plus bit t, which is 0 for
-        every rhombus of a grove.  The base holds the base grove's quadrant
-        sums; each bit adds its degree change's share of every quadrant, and 1
-        in its own field.  Fields are signed and as wide as the range that the
-        base plus any set of bits can reach needs, so a total of 0 means that
-        every field is 0.
+        The law: for each rhombus t of the minimal window, the sum of
+        (degree - 2) over the window points strictly below t's top on its two
+        long-edge axes (coeffone_sums) is minus bit t.  The sum is linear in
+        the mask, so the law holds for every mask exactly when the base
+        grove's sums are all 0 and each bit u changes the sum at t by
+        -[t = u].  A mask that breaks the law at t makes the base sum at t or
+        the change at t of one of its bits wrong, so this window check is at
+        least as strong as checking the law on every grove.
         """
         n, points, base = self.bits, self.points, self.base_degrees
-        inside = []  # inside[t][i]: point i lies in rhombus t's quadrant
-        for r in self.rhombi[:n]:
+        rhombi, ends = self.rhombi[:n], list(zip(self.long_ends[:n], self.short_ends[:n]))
+        for t, r in enumerate(rhombi):
             _, x, y = _AXIS[r.axis]
             tx, ty = r.top[x], r.top[y]
-            inside.append([p[x] < tx and p[y] < ty for p in points])
-        fields = [sum(d - 2 for d, q in zip(base, row) if q) for row in inside]
-        ends = zip(self.long_ends[:n], self.short_ends[:n])
-        steps = [[row[a] + row[b] - row[c] - row[d] + (t == u) for t, row in enumerate(inside)]
-                 for u, ((a, b), (c, d)) in enumerate(ends)]
-        lo, hi = fields.copy(), fields.copy()
-        for step in steps:
-            for t, c in enumerate(step):
-                if c < 0:
-                    lo[t] += c
-                else:
-                    hi[t] += c
-        width = max(0, *hi, *(-v - 1 for v in lo)).bit_length() + 1
-        half = 1 << width - 1
-        packed = [_pack(step, width, -half, half) for step in steps]
-        return _pack(fields, width, -half, half), _subset_sums(packed), width
-
-    def quadrant_fields(self, mask: int) -> int:
-        """The packed coefficient-one test of the grove with this mask; 0 when it passes."""
-        base, tables, _ = self.quadrant_tables
-        return base + _sum_at(tables, mask)
+            inside = [p[x] < tx and p[y] < ty for p in points]
+            s = sum(d - 2 for d, q in zip(base, inside) if q)
+            if s:
+                return f"quadrant sum {s} at {r} in the base grove, expected 0"
+            for u, ((a, b), (c, d)) in enumerate(ends):
+                change = inside[a] + inside[b] - inside[c] - inside[d]
+                if change != -(t == u):
+                    return (f"the long edge of {rhombi[u]} changes the quadrant sum at {r} "
+                            f"by {change}, expected {-(t == u)}")
+        return None
 
     @cached_property
     def even_tables(self) -> tuple[int, list[tuple], dict[tuple, int], list[int]]:
@@ -505,7 +456,10 @@ class _Window:
         Long edges join two points of sum s-1 and short edges the sums s and
         s-2, s the top's sum, so a rhombus's even edge is its long edge when s
         is odd.  A grove uses it exactly where its positions differ from flip,
-        the positions with s even.
+        the positions with s even.  When the even edges are pairwise distinct,
+        the bit table inverts them, so from_simplified(to_simplified(g)) is g
+        for every g whose long edges lie in the window; a g it fails on has a
+        position whose even edge another position shares.
         """
         flip, edges = 0, []
         points = self.points
@@ -617,18 +571,6 @@ def coeffone_sums(g: Grove, r: Rhombus) -> int:
                if v[0] == TAG_X and v[1 + x] < tx and v[1 + y] < ty)
 
 
-def quadrant_sums(g: Grove) -> dict[Rhombus, int]:
-    """coeffone_sums(g, r) for every rhombus r of the minimal window, in bit order.
-
-    Read off the packed coefficient-one test (_Window.quadrant_tables), whose
-    field t is the sum plus bit t.
-    """
-    window = _min_window(g)
-    _, _, width = window.quadrant_tables
-    fields = _unpack_signed(window.quadrant_fields(g.mask), width, window.bits)
-    return {r: v - (g.mask >> t & 1) for t, (r, v) in enumerate(zip(window.rhombi, fields))}
-
-
 def _local_move_masks(ic: InitialConditions) -> set[int]:
     """Every grove's mask (Grove.mask), by local moves.
 
@@ -708,44 +650,29 @@ def enumerate_bruteforce(
         for r, t in sorted(window.pos.items())
     ]
 
-    dsu = _DisjointSet(len(index))
+    parent = list(range(len(index)))  # no ranks or path compression: a link is undone in place
     found: list[tuple[int, tuple]] = []
-
-    def attach(u: int, v: int) -> tuple | None:
-        """Union u,v; return an undo token, or None when the move is illegal."""
-        ru, rv = dsu.find(u), dsu.find(v)
-        if ru == rv:
-            return None  # would close a cycle: never a forest again
-        cu, cv = comp_class[ru], comp_class[rv]
-        if cu >= 0 and cv >= 0 and cu != cv:
-            return None  # would merge two distinct boundary classes
-        dsu.union(ru, rv)
-        root = dsu.find(ru)
-        old = comp_class[root]
-        comp_class[root] = cu if cu >= 0 else cv
-        return (root, old)
-
-    def detach(token: tuple) -> None:
-        root, old = token
-        comp_class[root] = old
-        dsu.undo()
 
     def rec(t: int, mask: int, beyond: tuple) -> None:  # beyond: long edges past the mask
         if t == len(edges):
             # Forest with compatible merges; classes must each be whole.
             for cls in classes:
-                roots = {dsu.find(index[p]) for p in cls}
-                if len(roots) > 1:
+                if len({_root(parent, index[p]) for p in cls}) > 1:
                     return
             found.append((mask, beyond))
             return
         r, bit, long, short = edges[t]
         for (u, v), m, b in ((short, mask, beyond),
                              (long, mask | bit, beyond if bit else (*beyond, r))):
-            token = attach(u, v)
-            if token is not None:
-                rec(t + 1, m, b)
-                detach(token)
+            ru, rv = _root(parent, u), _root(parent, v)
+            cu, cv = comp_class[ru], comp_class[rv]
+            if ru == rv or (cu >= 0 and cv >= 0 and cu != cv):
+                continue  # a cycle, or two boundary classes merged: never a grove again
+            parent[rv] = ru
+            comp_class[ru] = cu if cu >= 0 else cv
+            rec(t + 1, m, b)
+            parent[rv] = rv
+            comp_class[ru] = cu
 
     rec(0, 0, ())
     return {_grove(ic, mask, frozenset(beyond)) for mask, beyond in found}

@@ -107,10 +107,14 @@ def test_verify_reports_oracle_skip(capsys):
 
 def test_verify_builds_only_what_the_properties_read(monkeypatch, capsys):
     def unneeded(*args, **kwargs):
-        raise AssertionError("rhombcount reads neither the polynomial nor the groves")
+        raise AssertionError("a property built what it does not read")
 
-    monkeypatch.setattr(recurrence, "f_symbolic", unneeded)
+    # coeffone reads the polynomial and the window, no grove.
     monkeypatch.setattr(groves, "enumerate_local_moves", unneeded)
+    code, out = run(capsys, "verify", "--preset", "standard:3", "--props", "coeffone")
+    assert code == 0 and json.loads(out)["pass"] is True
+    # rhombcount reads neither the polynomial nor the groves.
+    monkeypatch.setattr(recurrence, "f_symbolic", unneeded)
     code, out = run(capsys, "verify", "--preset", "standard:3", "--props", "rhombcount")
     assert code == 0 and json.loads(out)["pass"] is True
 
@@ -360,15 +364,28 @@ def test_injectivity_names_both_groves_of_a_repeat():
     assert groves.grove_from_json(ic, json.loads(line)) == gs[4]
 
 
-def test_coeffone_witness_names_the_grove(monkeypatch):
-    # The law holds for every mask, so fake one failing quadrant sum.
+def test_coeffone_witness_names_the_rhombi(monkeypatch):
+    # The law holds on every real window, so corrupt a copy of one.
     ic = lattice.standard(3)
     ctx = cli._VerifyContext(ic, 18)
-    g = ctx["groves"][2]
     assert cli.PROPERTIES["coeffone"](ic, ctx) is None
-    r = groves._window(ic, ic.min_cutoff).rhombi[0]
-    monkeypatch.setattr(groves._Window, "quadrant_fields", lambda self, mask: mask == g.mask)
-    monkeypatch.setattr(groves, "quadrant_sums", lambda g: {r: 5})
+    window = groves._Window(ic, ic.min_cutoff)
+    r = window.rhombi[0]
+    window.long_ends = [window.short_ends[0], *window.long_ends[1:]]
+    monkeypatch.setattr(groves, "_window", lambda ic, N: window)
     witness = cli.PROPERTIES["coeffone"](ic, ctx)
-    expected = -(g.mask & 1)
-    assert witness == f"quadrant sum 5 at {r}, expected {expected}, in grove {cli._named(g)}"
+    assert witness == f"the long edge of {r} changes the quadrant sum at {r} by 0, expected -1"
+
+
+def test_simplified_witness_names_both_rhombi_of_a_shared_even_edge(monkeypatch):
+    ic = lattice.standard(3)
+    ctx = cli._VerifyContext(ic, 18)
+    assert cli.PROPERTIES["simplified"](ic, ctx) is None
+    window = groves._Window(ic, ic.min_odd_cutoff)
+    flip, edges, _, even = window.even_tables
+    edges = [edges[0], edges[0], *edges[2:]]  # positions 0 and 1 share an even edge
+    window.even_tables = flip, edges, {e: 1 << t for t, e in enumerate(edges)}, even
+    monkeypatch.setattr(groves, "_window", lambda ic, N: window)
+    witness = cli.PROPERTIES["simplified"](ic, ctx)
+    r, s = window.rhombi[:2]
+    assert witness == f"rhombi {r} and {s} share the even edge {edges[0]}"

@@ -24,7 +24,6 @@ from cuberec.groves import (
     grove_sum,
     is_acyclic,
     monomial_of,
-    quadrant_sums,
     simplified_components,
     stats,
     to_simplified,
@@ -435,18 +434,39 @@ def test_coeffone_sums_beyond_window():
 
 
 def test_quadrant_sums_agree_with_coeffone_sums_on_random_ics():
+    # The window check of the coefficient-one law passes, and the monomial
+    # route agrees: the quadrant sum at each rhombus is minus its bit, on
+    # groves and on random masks alike, as the law is linear in the mask.
     rng = random.Random(4711)
     checked = 0
     for ic in [random_ic(rng, depth=1, boxes=4) for _ in range(12)] + [lattice.kleber(2, 3, 2)]:
-        rhombi = set(ic.rhombi_in_J(ic.min_cutoff))
-        for g in enumerate_local_moves(ic):
-            sums = quadrant_sums(g)
-            assert set(sums) == rhombi, ic
-            for r, s in sums.items():
-                assert s == coeffone_sums(g, r), (ic, g, r)
-                assert s == (-1 if r in g.long_edges else 0), (ic, g, r)
-            checked += len(sums)
+        window = groves._window(ic, ic.min_cutoff)
+        assert window.quadrant_fault is None, ic
+        rhombi = window.rhombi
+        masks = [g.mask for g in enumerate_local_moves(ic)]
+        masks += [rng.getrandbits(len(rhombi)) for _ in range(len(masks))]
+        for mask in masks:
+            g = groves._grove(ic, mask)
+            for t, r in enumerate(rhombi):
+                assert coeffone_sums(g, r) == -(mask >> t & 1), (ic, g, r)
+            checked += len(rhombi)
     assert checked > 1000
+
+
+def test_quadrant_fault_names_the_rhombi_of_a_corrupted_window():
+    ic = lattice.standard(3)
+    assert groves._window(ic, ic.min_cutoff).quadrant_fault is None
+    window = groves._Window(ic, ic.min_cutoff)  # fresh copies, not the memoised window
+    r = window.rhombi[0]
+    _, x, y = lattice._AXIS[r.axis]
+    p = next(i for i, q in enumerate(window.points) if q[x] < r.top[x] and q[y] < r.top[y])
+    window.base_degrees = window.base_degrees.copy()
+    window.base_degrees[p] += 1
+    assert window.quadrant_fault == f"quadrant sum 1 at {r} in the base grove, expected 0"
+    window = groves._Window(ic, ic.min_cutoff)
+    window.long_ends = [window.short_ends[0], *window.long_ends[1:]]
+    assert window.quadrant_fault == (
+        f"the long edge of {r} changes the quadrant sum at {r} by 0, expected -1")
 
 
 def test_simplified_roundtrip_and_components():
@@ -527,7 +547,7 @@ def _x_exponents(g):
 
 
 def test_packed_tables_agree_with_the_monomial():
-    # The degree and coefficient-one tables against the monomial route, on
+    # The degree tables and the coefficient-one law against the monomial route, on
     # enumerated groves, masks with a bit flipped, and hand-built groves with
     # long edges beyond the minimal window (which change neither).
     rng = random.Random(1203)
@@ -543,16 +563,12 @@ def test_packed_tables_agree_with_the_monomial():
         for g in gs:
             x = _x_exponents(g)
             assert grove_degrees(g) == {p: 2 + x.get(p, 0) for p in points}, (ic, g)
-            sums = quadrant_sums(g)
-            assert sums == {r: coeffone_sums(g, r) for r in ic.rhombi_in_J(ic.min_cutoff)}
-            window = groves._window(ic, ic.min_cutoff)
-            passes = all(s == -(r in g.long_edges) for r, s in sums.items())
-            assert (window.quadrant_fields(g.mask) == 0) == passes, (ic, g)
+            for r in ic.rhombi_in_J(ic.min_cutoff):
+                assert coeffone_sums(g, r) == -(r in g.long_edges), (ic, g, r)
 
 
 def test_packed_fields_refuse_values_outside_them():
     assert groves._pack([3, -1, 2], 4, -8, 8) == 3 - (1 << 4) + (2 << 8)
-    assert groves._unpack_signed(3 - (1 << 4) + (2 << 8), 4, 3) == [3, -1, 2]
     for values in ([8], [0, -9], [128]):
         with pytest.raises(groves.FieldOverflow):
             groves._pack(values, 4, -8, 8)
