@@ -95,16 +95,14 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _sorted_groves(gs) -> list[groves.Grove]:
-    """Groves of one ideal, ordered as their sorted long-edge lists by ranks read from the masks.
+    """Groves of one ideal, ordered as their sorted long-edge lists.
 
-    With no long edge beyond the window, as in every enumeration, a rank is a bit index.
+    The minimal window's rhombi are sorted, so a rhombus's rank is its bit
+    index, and the set bits of a mask, lowest first, stand for the sorted list.
     """
     gs = list(gs)
-    rhombi = [r for g in gs[:1] for r in groves._window(g.ic, g.ic.min_cutoff).rhombi]
-    rank = {r: t for t, r in enumerate(sorted({*rhombi, *(r for g in gs for r in g.outside)}))}
-    bit_rank = [rank[r] for r in rhombi]
-    return sorted(gs, key=lambda g: sorted(
-        groves._at_bits(bit_rank, g.mask) + [rank[r] for r in g.outside]))
+    ranks = range(max((g.mask.bit_length() for g in gs), default=0))
+    return sorted(gs, key=lambda g: groves._at_bits(ranks, g.mask))
 
 
 def cmd_compute(args) -> int:
@@ -256,7 +254,7 @@ def _prop_acyclic(ic, ctx):
 def _prop_triineq(ic, ctx):
     window = groves._window(ic, ic.min_cutoff)
     for g in ctx["groves"]:
-        a, b, c = window.axis_counts(g)
+        a, b, c = window.axis_counts(g.mask)
         if a + b < c or b + c < a or c + a < b or (a + b + c) % 2:
             return f"axis counts ({a},{b},{c}) break the parity law in grove {_named(g)}"
     try:
@@ -345,7 +343,7 @@ def _prop_octahedron(ic, ctx):
     window = groves._window(ic, ic.min_cutoff)
 
     def balanced(g):
-        a, b, c = window.axis_counts(g)
+        a, b, c = window.axis_counts(g.mask)
         return a + b == c
 
     filtered = laurent.drop_variables(

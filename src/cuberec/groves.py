@@ -2,11 +2,13 @@
 
 A grove is stored as an int mask: bit t is set when it uses the long edge of
 the t-th rhombus of the minimal window, in sorted order; every other rhombus
-contributes its short edge, and long edges beyond the window (only a
-hand-built grove has them) sit in a frozenset beside the mask.  That finite
-choice determines the whole infinite subgraph, and the associated monomial
-(product of long-edge variables times x**(degree-2) over all vertices)
-determines the grove in turn.  The rhombi are decoded only on request.
+contributes its short edge.  The groves of an ideal are fixed by any cutoff
+window (Carroll-Speyer), so no grove has a long edge beyond the minimal one,
+and both enumerations refuse one they find there (_check_within).  That
+finite choice determines the whole infinite subgraph, and the associated
+monomial (product of long-edge variables times x**(degree-2) over all
+vertices) determines the grove in turn.  The rhombi are decoded only on
+request.
 
 Verification works on the finite window of radius N: the window has
 3*C(N+3,2)+1 vertices and 3*C(N+2,2) rhombi, each contributing exactly one
@@ -53,7 +55,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import repeat
 from math import comb
 from operator import or_
 from typing import Collection, Iterable
@@ -96,36 +97,36 @@ class TooLarge(RuntimeError):
 
 
 def _check_contained(ic: InitialConditions, rhombi: Collection[Rhombus]) -> None:
-    """ValueError unless every rhombus, one beyond the minimal window, is contained in ic."""
+    """ValueError unless every rhombus is contained in ic."""
     for r in rhombi:
         if not ic.contains_rhombus(r):
             raise ValueError(f"rhombus {r} is not contained in the initial conditions")
 
 
 class Grove:
-    """A grove of ic as the mask of its long edges in the minimal window, and those outside.
+    """A grove of ic as the mask of its long edges in the minimal window.
 
-    Grove(ic, long_edges) raises ValueError for a rhombus not contained in ic.
+    Grove(ic, long_edges) raises ValueError for a rhombus outside that window.
     The hash leaves out the ideal, which one set seldom mixes.  Never mutate.
     """
 
-    __slots__ = ("ic", "mask", "outside", "__dict__")
+    __slots__ = ("ic", "mask", "__dict__")
 
     def __init__(self, ic: InitialConditions, long_edges: Collection[Rhombus]):
-        pos = _window(ic, ic.min_cutoff).pos
-        longs = set(long_edges)
-        outside = frozenset(r for r in longs if r not in pos)
-        _check_contained(ic, outside)
-        self.ic, self.mask, self.outside = ic, sum(1 << pos[r] for r in longs - outside), outside
+        pos, longs = _window(ic, ic.min_cutoff).pos, set(long_edges)
+        for r in longs:
+            if r not in pos:
+                _check_contained(ic, [r])
+                raise ValueError(f"rhombus {r} lies beyond the minimal window")
+        self.ic, self.mask = ic, sum(1 << pos[r] for r in longs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Grove):
             return NotImplemented
-        return (self.mask == other.mask and self.outside == other.outside
-                and (self.ic is other.ic or self.ic == other.ic))
+        return self.mask == other.mask and (self.ic is other.ic or self.ic == other.ic)
 
     def __hash__(self) -> int:
-        return hash((self.mask, self.outside))
+        return hash(self.mask)
 
     def __repr__(self) -> str:
         return f"Grove({self.ic!r}, {self.sorted_long_edges()!r})"
@@ -136,23 +137,22 @@ class Grove:
         return frozenset(self.sorted_long_edges())
 
     def sorted_long_edges(self) -> list[Rhombus]:
-        longs = _at_bits(_min_window(self).rhombi, self.mask)
-        return sorted(longs + [*self.outside]) if self.outside else longs
+        return _at_bits(_min_window(self).rhombi, self.mask)
 
     @cached_property
     def _monomial(self) -> Monomial:
-        """The base monomial times each set bit's step, and each variable beyond the window."""
+        """The base monomial times each set bit's step."""
         window = _min_window(self)
-        items = [*window.base.exps, *((r.variable(), 1) for r in self.outside)]
+        items = list(window.base.exps)
         for step in _at_bits(window.steps, self.mask):
             items += step
         return Monomial(1, exps_from_items(items))
 
 
-def _grove(ic: InitialConditions, mask: int, outside: frozenset = frozenset()) -> Grove:
+def _grove(ic: InitialConditions, mask: int) -> Grove:
     """The grove of a mask already in the window's bit order; nothing is checked."""
     g = object.__new__(Grove)
-    g.ic, g.mask, g.outside = ic, mask, outside
+    g.ic, g.mask = ic, mask
     return g
 
 
@@ -280,11 +280,11 @@ class _Window:
     """What every grove of one ideal shares at radius N, built once; never mutate.
 
     Position t stands for rhombi[t].  The minimal window's rhombi come first,
-    in sorted order, so positions below `bits` are the bits of a grove's mask;
-    the rest of this window's rhombi follow, sorted.  The tables are indexed by
-    position and hold window-point indices, so every view of a grove reads its
-    mask through them, and only a hand-built grove's long edges beyond the
-    minimal window are looked up as rhombi (positions).
+    in sorted order, so positions below `bits` are the bits of a grove's mask,
+    and a grove's mask is its set of positions in every window; the rest of
+    this window's rhombi follow, sorted.  The tables are indexed by position
+    and hold window-point indices, so every view of a grove reads its mask
+    through them.
     """
 
     def __init__(self, ic: InitialConditions, N: int):
@@ -300,13 +300,6 @@ class _Window:
         self.long_ends = [(index[a], index[b]) for a, b in map(Rhombus.long_edge, self.rhombi)]
         self.short_ends = [(index[a], index[b]) for a, b in map(Rhombus.short_edge, self.rhombi)]
         self.classes = boundary_classes(N)
-
-    def positions(self, g: Grove) -> int:
-        """g's long edges as a mask over this window's positions."""
-        if not g.outside:
-            return g.mask
-        pos = self.pos
-        return g.mask | sum(1 << pos[r] for r in g.outside if r in pos)
 
     def edges(self, m: int) -> list[tuple[int, int]]:
         """The edge used on each window rhombus, by position: the long one where m has a bit."""
@@ -328,13 +321,10 @@ class _Window:
         return {a: sum(1 << t for t, r in enumerate(self.rhombi[:self.bits]) if r.axis == a)
                 for a in AXES}
 
-    def axis_counts(self, g: Grove) -> tuple[int, int, int]:
-        """How many long edges g has on each axis: popcounts, plus its rhombi beyond the window."""
-        masks, mask = self.axis_masks, g.mask
-        counts = [(mask & masks[a]).bit_count() for a in AXES]
-        for r in g.outside:
-            counts[AXES.index(r.axis)] += 1
-        return tuple(counts)
+    def axis_counts(self, mask: int) -> tuple[int, int, int]:
+        """How many long edges the grove with this mask has on each axis, as popcounts."""
+        masks = self.axis_masks
+        return tuple((mask & masks[a]).bit_count() for a in AXES)
 
     @cached_property
     def base_degrees(self) -> list[int]:
@@ -458,8 +448,8 @@ class _Window:
         is odd.  A grove uses it exactly where its positions differ from flip,
         the positions with s even.  When the even edges are pairwise distinct,
         the bit table inverts them, so from_simplified(to_simplified(g)) is g
-        for every g whose long edges lie in the window; a g it fails on has a
-        position whose even edge another position shares.
+        for every g; a g it fails on has a position whose even edge another
+        position shares.
         """
         flip, edges = 0, []
         points = self.points
@@ -482,15 +472,11 @@ def _min_window(g: Grove) -> _Window:
 
 
 def check_grove(g: Grove, N: int | None = None) -> GroveViolation | None:
-    """Verify compactness and connectivity within radius N; None means valid."""
+    """Verify connectivity within radius N; None means valid."""
     ic = g.ic
     N = ic.min_cutoff if N is None else N
     window = _window(ic, N)
-    for r in g.outside:  # the minimal window's rhombi lie within every cutoff
-        if sum(r.top) < -N:
-            return GroveViolation("compactness", f"long edge of deep rhombus {r}")
-
-    parent, _ = _union(len(window.points), window.edges(window.positions(g)))
+    parent, _ = _union(len(window.points), window.edges(g.mask))
     index = window.index
     owner: dict[int, tuple] = {}
     for cls in window.classes:
@@ -522,7 +508,7 @@ def grove_degrees(g: Grove) -> dict[Point3, int]:
 def stats(g: Grove) -> GroveStats:
     window = _min_window(g)
     degree = {p: d for p, d in zip(window.points, window.degree_bytes(g.mask)) if d != 2}
-    return GroveStats(*window.axis_counts(g), degree=degree)
+    return GroveStats(*window.axis_counts(g.mask), degree=degree)
 
 
 def monomial_of(g: Grove) -> Monomial:
@@ -534,16 +520,19 @@ def grove_from_monomial(ic: InitialConditions, m: Monomial) -> Grove:
     """Invert monomial_of; the round trip is always re-checked."""
     if m.coeff != 1:
         raise RoundTripMismatch(f"grove monomials have coefficient 1, got {m.coeff}")
-    longs = []
+    pos, mask = _window(ic, ic.min_cutoff).pos, 0
     for v, e in m.exps:
         if v[0] in (TAG_A, TAG_B, TAG_C):
             if e != 1:
                 raise RoundTripMismatch(f"edge variable {v} has exponent {e}")
             try:
-                longs.append(ic.variable_rhombus(v))
+                r = ic.variable_rhombus(v)
             except NoSuchRhombus as exc:
                 raise RoundTripMismatch(str(exc)) from exc
-    g = Grove(ic, frozenset(longs))
+            if r not in pos:
+                raise RoundTripMismatch(f"edge variable {v} lies on {r}, beyond the minimal window")
+            mask |= 1 << pos[r]
+    g = _grove(ic, mask)
     if monomial_of(g) != m:
         raise RoundTripMismatch(f"{m} does not come from a grove")
     return g
@@ -554,8 +543,7 @@ def grove_sum(groves: Iterable[Grove]) -> LaurentPoly:
     keys = Counter()
     for g in groves:
         window = _min_window(g)
-        beyond = LaurentPoly._key((r.variable(), 1) for r in g.outside)
-        keys[window.base_key + sum(_at_bits(window.step_keys, g.mask)) + beyond] += 1
+        keys[window.base_key + sum(_at_bits(window.step_keys, g.mask))] += 1
     return LaurentPoly._from_keys(dict(keys))
 
 
@@ -571,15 +559,23 @@ def coeffone_sums(g: Grove, r: Rhombus) -> int:
                if v[0] == TAG_X and v[1 + x] < tx and v[1 + y] < ty)
 
 
+def _check_within(ic: InitialConditions, rhombi, bits: int, masks: Iterable[int]) -> None:
+    """Where the masks set positions of rhombi past bits: ValueError for a rhombus
+    not contained in ic, else CorrespondenceMismatch, as no grove reaches there."""
+    beyond = _at_bits(rhombi, reduce(or_, masks, 0) >> bits << bits)
+    _check_contained(ic, beyond)
+    if beyond:
+        raise CorrespondenceMismatch(f"long edges {beyond} lie beyond the minimal window")
+
+
 def _local_move_masks(ic: InitialConditions) -> set[int]:
     """Every grove's mask (Grove.mask), by local moves.
 
     A rhombus beyond the minimal window gets a bit past the window's when it
-    is first met.  Only those bits need a containment check, once, on the
-    union of the masks; a contained rhombus there would break compactness.
+    is first met, and _check_within refuses the masks if any sets one.
     """
-    rhombi = list(_window(ic, ic.min_cutoff).rhombi)
-    n = len(rhombi)
+    window = _window(ic, ic.min_cutoff)
+    rhombi = list(window.rhombi)
     bits = {r: 1 << t for t, r in enumerate(rhombi)}
 
     def bit(r: Rhombus) -> int:
@@ -608,10 +604,7 @@ def _local_move_masks(ic: InitialConditions) -> set[int]:
             masks = {(m & keep) | d for m in masks for d in successors[m & old]}
         except KeyError:
             raise CorrespondenceMismatch(f"all three long edges present at {u}") from None
-    beyond = _at_bits(rhombi, reduce(or_, masks) >> n << n)
-    _check_contained(ic, beyond)
-    if beyond:
-        raise CorrespondenceMismatch(f"long edges {beyond} lie beyond the window")
+    _check_within(ic, rhombi, window.bits, masks)
     return masks
 
 
@@ -632,7 +625,8 @@ def enumerate_bruteforce(
 
     Every rhombus of the window contributes one edge either way, so a valid
     choice is exactly a forest in which no two boundary classes meet and every
-    class stays connected.  Both conditions prune the search.
+    class stays connected.  Both conditions prune the search.  Like local
+    moves, it refuses a grove with a long edge beyond the minimal window.
     """
     N = ic.min_cutoff if N is None else N
     window = _window(ic, N)
@@ -645,37 +639,36 @@ def enumerate_bruteforce(
         for p in cls:
             comp_class[index[p]] = ci
 
-    edges = [  # in sorted rhombus order; bit 0 marks a rhombus beyond the minimal window
-        (r, 1 << t if t < window.bits else 0, window.long_ends[t], window.short_ends[t])
-        for r, t in sorted(window.pos.items())
+    edges = [  # in sorted rhombus order
+        (1 << t, window.long_ends[t], window.short_ends[t]) for _, t in sorted(window.pos.items())
     ]
 
     parent = list(range(len(index)))  # no ranks or path compression: a link is undone in place
-    found: list[tuple[int, tuple]] = []
+    found: list[int] = []
 
-    def rec(t: int, mask: int, beyond: tuple) -> None:  # beyond: long edges past the mask
+    def rec(t: int, mask: int) -> None:
         if t == len(edges):
             # Forest with compatible merges; classes must each be whole.
             for cls in classes:
                 if len({_root(parent, index[p]) for p in cls}) > 1:
                     return
-            found.append((mask, beyond))
+            found.append(mask)
             return
-        r, bit, long, short = edges[t]
-        for (u, v), m, b in ((short, mask, beyond),
-                             (long, mask | bit, beyond if bit else (*beyond, r))):
+        bit, long, short = edges[t]
+        for (u, v), m in ((short, mask), (long, mask | bit)):
             ru, rv = _root(parent, u), _root(parent, v)
             cu, cv = comp_class[ru], comp_class[rv]
             if ru == rv or (cu >= 0 and cv >= 0 and cu != cv):
                 continue  # a cycle, or two boundary classes merged: never a grove again
             parent[rv] = ru
             comp_class[ru] = cu if cu >= 0 else cv
-            rec(t + 1, m, b)
+            rec(t + 1, m)
             parent[rv] = rv
             comp_class[ru] = cu
 
-    rec(0, 0, ())
-    return {_grove(ic, mask, frozenset(beyond)) for mask, beyond in found}
+    rec(0, 0)
+    _check_within(ic, window.rhombi, window.bits, found)
+    return {_grove(ic, mask) for mask in found}
 
 
 def to_simplified(g: Grove, N: int | None = None) -> SimplifiedGrove:
@@ -686,20 +679,27 @@ def to_simplified(g: Grove, N: int | None = None) -> SimplifiedGrove:
         raise CutoffNotOdd(str(N))
     window = _window(ic, N)
     flip, even_edges, _, _ = window.even_tables
-    edges = frozenset(_at_bits(even_edges, window.positions(g) ^ flip))
+    edges = frozenset(_at_bits(even_edges, g.mask ^ flip))
     return SimplifiedGrove(ic=ic, N=N, edges=edges)
 
 
 def from_simplified(s: SimplifiedGrove) -> Grove:
-    """Reconstruct the unique grove inducing a simplified grove."""
+    """Reconstruct the unique grove inducing a simplified grove.
+
+    ValueError for an edge that is not an even edge of the window, or for a
+    long edge it calls for beyond the minimal window.
+    """
     ic = s.ic
     if s.N % 2 == 0:
         raise CutoffNotOdd(str(s.N))
     window = _window(ic, s.N)
     flip, _, even_bit, _ = window.even_tables
-    m = sum(map(even_bit.get, s.edges, repeat(0))) ^ flip  # an edge not in the window adds 0
-    n = window.bits
-    return _grove(ic, m & ~(-1 << n), frozenset(_at_bits(window.rhombi, m >> n << n)))
+    m = flip
+    for e in s.edges:
+        if e not in even_bit:
+            raise ValueError(f"edge {e} is not an even edge of the radius-{s.N} window")
+        m ^= even_bit[e]
+    return Grove(ic, _at_bits(window.rhombi, m))
 
 
 def simplified_components(s: SimplifiedGrove) -> int:

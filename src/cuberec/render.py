@@ -124,9 +124,8 @@ def render_grove(g: Grove, opts: RenderOptions | None = None) -> str:
     """One edge per window rhombus: the grove's long edges emphasized."""
 
     def edges(window, layers):
-        m = window.positions(g)
         for _, t in sorted(window.pos.items()):
-            if m >> t & 1:
+            if g.mask >> t & 1:
                 yield "grove-long", 0.12, window.long_ends[t]
             else:
                 yield "grove-short", 0.05, window.short_ends[t]

@@ -57,15 +57,6 @@ def test_sorted_groves_follow_the_sorted_long_edges():
     for _ in range(10):
         gs = groves.enumerate_local_moves(random_ic(rng, depth=1, boxes=4))
         assert cli._sorted_groves(gs) == by_rhombi(gs)
-    # Long edges beyond the minimal window fall between its rhombi, often
-    # several into one gap.
-    ic = lattice.standard(2)
-    window = ic.rhombi_in_J()
-    beyond = [r for r in ic.rhombi_in_J(ic.min_cutoff + 2) if r not in window]
-    gs = {groves.Grove(ic, [*rng.sample(window, rng.randint(0, 4)),
-                            *rng.sample(beyond, rng.randint(0, 4))]) for _ in range(300)}
-    assert sum(len(g.outside) > 1 for g in gs) > 100
-    assert cli._sorted_groves(gs) == by_rhombi(gs)
 
 
 def test_verify_passes(capsys):
@@ -257,6 +248,8 @@ def test_render_bad_grove_file_exits_2(tmp_path, capsys):
         "no-long-edges.jsonl": json.dumps({"n": [0, 0, 0]}) + "\n",
         "outside-ideal.jsonl": json.dumps({"long_edges": [["a", -5, 0, 0]]}) + "\n",
         "malformed-edge.jsonl": json.dumps({"long_edges": [["a", 0]]}) + "\n",
+        # contained in standard:2, but beyond its minimal window (radius 1)
+        "beyond-window.jsonl": json.dumps({"long_edges": [["a", 0, -3, 0]]}) + "\n",
     }
     paths = [good]
     for name, text in bad_files.items():
@@ -273,6 +266,8 @@ def test_render_bad_grove_file_exits_2(tmp_path, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(argv)
         assert err.value.code == 2, path.name
+        if path.name == "beyond-window.jsonl":
+            assert "Rhombus(axis='a', top=(0, -3, 0))" in capsys.readouterr().err
 
 
 def _decoded_forest(ic, N, long_edges, keep=lambda edge: True):

@@ -1,12 +1,16 @@
 """Grove axioms, monomials, enumeration, simplified groves, sign triangles."""
 
+import copy
+import dataclasses
 import random
+import re
 
 import pytest
 
 from conftest import grove_key, random_ic
 from cuberec import groves, lattice, recurrence, render
 from cuberec.groves import (
+    CorrespondenceMismatch,
     Grove,
     RoundTripMismatch,
     TooLarge,
@@ -28,7 +32,16 @@ from cuberec.groves import (
     stats,
     to_simplified,
 )
-from cuberec.laurent import TAG_X, LaurentPoly, Monomial, avar, cvar, exps_from_items, xvar
+from cuberec.laurent import (
+    TAG_X,
+    LaurentPoly,
+    Monomial,
+    avar,
+    bvar,
+    cvar,
+    exps_from_items,
+    xvar,
+)
 from cuberec.lattice import CutoffNotOdd, InitialConditions, NotACutoff, Rhombus
 from cuberec.sequences import SOMOS7, gr_certificate
 
@@ -72,6 +85,10 @@ def test_grove_from_monomial_rejects_non_grove():
     with pytest.raises(RoundTripMismatch):
         # no rhombus carries this edge variable here
         grove_from_monomial(EMPTY, Monomial(1, ((avar(1, 1), 1),)))
+    # a contained rhombus beyond the minimal window carries this one; no grove uses it
+    deep = exps_from_items([*monomial_of(base_grove(EMPTY)).exps, (avar(-2, -2), 1)])
+    with pytest.raises(RoundTripMismatch, match=re.escape(f"edge variable {avar(-2, -2)}")):
+        grove_from_monomial(EMPTY, Monomial(1, deep))
 
 
 def test_check_grove():
@@ -81,21 +98,6 @@ def test_check_grove():
     violation = check_grove(bad, 1)
     assert violation is not None
     assert violation.kind in ("class-split", "class-shared", "component-count")
-
-
-def test_check_grove_compactness():
-    deep = Grove(EMPTY, frozenset({Rhombus("a", (0, -2, -2))}))
-    violation = check_grove(deep, 3)
-    assert violation is not None and violation.kind == "compactness"
-    # long edges below the window leave the degree table alone, also one
-    # whose ends lie in the window
-    for r in (Rhombus("a", (0, -2, -2)), Rhombus("a", (0, 0, -1))):
-        assert grove_degrees(Grove(EMPTY, frozenset({r}))) == grove_degrees(base_grove(EMPTY))
-    # ... and multiply the base monomial by their variable alone
-    base = monomial_of(base_grove(EMPTY)).exps
-    expected = exps_from_items([*base, (avar(-2, -2), 1)])
-    assert monomial_of(deep) == Monomial(1, expected)
-    assert grove_sum([deep, deep]) == LaurentPoly.monomial(2, expected)
 
 
 def test_boundary_class_counts():
@@ -110,6 +112,12 @@ def test_grove_rejects_rhombus_outside():
     # below the window, where no window rhombus vouches for it
     with pytest.raises(ValueError):
         Grove(EMPTY, frozenset({Rhombus("a", (-3, -3, -3))}))
+    # contained, but beyond the minimal window (radius 0): deep below it, and
+    # one whose ends lie in it
+    for r in (Rhombus("a", (0, -2, -2)), Rhombus("a", (0, 0, -1))):
+        assert EMPTY.contains_rhombus(r)
+        with pytest.raises(ValueError, match=re.escape(f"{r} lies beyond the minimal window")):
+            Grove(EMPTY, [Rhombus("b", (0, 0, 0)), r])
 
 
 def test_local_move_groves_hash_apart():
@@ -132,33 +140,41 @@ def test_grove_identity_on_random_ics():
             assert g.sorted_long_edges() == sorted(g.long_edges)
             for same in (Grove(ic, g.long_edges), Grove(twin, g.long_edges)):
                 assert same == g and hash(same) == hash(g), (ic, g)
-                assert same.mask == g.mask and not same.outside
+                assert same.mask == g.mask
 
 
-def test_long_edges_beyond_the_window_round_trip():
-    # EMPTY's minimal window is radius 0; near lies within radius 1, deep
-    # within none of the cutoffs below 4.
-    here, near = Rhombus("b", (0, 0, 0)), Rhombus("a", (0, 0, -1))
-    deep = Rhombus("a", (0, -2, -2))
-    g = Grove(EMPTY, [here, near, deep])
-    assert g.mask.bit_count() == 1 and g.outside == {near, deep}
-    assert g.long_edges == {here, near, deep}
-    assert g.sorted_long_edges() == sorted([here, near, deep])
+def test_hand_built_grove_round_trip():
+    # EMPTY's minimal window is radius 0, and here is one of its rhombi.
+    here = Rhombus("b", (0, 0, 0))
+    g = Grove(EMPTY, [here])
+    assert g.mask.bit_count() == 1
+    assert g.long_edges == {here} and g.sorted_long_edges() == [here]
     same = Grove(EMPTY, g.long_edges)
     assert same == g and hash(same) == hash(g)
-    assert g != Grove(EMPTY, [here, near]) and g != Grove(EMPTY, [here])
+    assert g != base_grove(EMPTY)
     m = monomial_of(g)
-    expected = [*monomial_of(Grove(EMPTY, [here])).exps,
-                (near.variable(), 1), (deep.variable(), 1)]
-    assert m == Monomial(1, exps_from_items(expected))
+    assert m == Monomial(1, exps_from_items([
+        (bvar(0, 0), 1), (xvar(-1, 0, 0), 1), (xvar(0, 0, -1), 1), (xvar(-1, 0, -1), -1),
+    ]))
     assert grove_sum([g]) == LaurentPoly.monomial(1, m.exps)
     assert grove_from_monomial(EMPTY, m) == g
-    assert check_grove(g, 3).kind == "compactness"
-    # At radius 1 the window edge on near is its long edge.
     assert check_grove(base_grove(EMPTY), 1) is None
-    assert check_grove(Grove(EMPTY, [near]), 1) is not None
     st = stats(g)
-    assert (st.n_a, st.n_b, st.n_c) == (2, 1, 0)
+    assert (st.n_a, st.n_b, st.n_c) == (0, 1, 0)
+
+
+def test_enumerations_refuse_a_long_edge_beyond_the_window(monkeypatch):
+    # A window copy that counts fewer of its rhombi as bits: the groves that
+    # use the others reach past the bits, as no grove may.
+    ic = lattice.standard(3)
+    low = copy.copy(groves._window(ic, ic.min_cutoff))
+    low.bits -= 3
+    monkeypatch.setattr(groves, "_window", lambda ic, N: low)
+    for enumerate_groves in (enumerate_local_moves, count_local_moves, enumerate_bruteforce):
+        with pytest.raises(CorrespondenceMismatch, match="beyond the minimal window") as err:
+            enumerate_groves(ic)
+        named = [t for t, r in enumerate(low.rhombi) if str(r) in str(err.value)]
+        assert named and min(named) >= low.bits, enumerate_groves
 
 
 def test_enumeration_checks_containment_once_per_ideal(monkeypatch):
@@ -473,6 +489,17 @@ def test_simplified_roundtrip_and_components():
     g = base_grove(EMPTY)
     s = to_simplified(g, 1)
     assert from_simplified(s) == g
+    # edges that call for a long edge beyond the minimal window (radius 0) are refused
+    window = groves._window(EMPTY, 1)
+    t = window.bits
+    flipped = s.edges ^ {window.even_tables[1][t]}
+    with pytest.raises(ValueError, match=re.escape(f"{window.rhombi[t]} lies beyond")):
+        from_simplified(dataclasses.replace(s, edges=flipped))
+    # and so is an edge foreign to the window, not ignored
+    s = to_simplified(base_grove(lattice.standard(3)))
+    foreign = ((0, 0, 0), (-9, -9, -9))
+    with pytest.raises(ValueError, match=re.escape(str(foreign))):
+        from_simplified(dataclasses.replace(s, edges=s.edges | {foreign}))
     ic = lattice.standard(4)
     for g in enumerate_local_moves(ic):
         s = to_simplified(g, 3)
@@ -548,11 +575,9 @@ def _x_exponents(g):
 
 def test_packed_tables_agree_with_the_monomial():
     # The degree tables and the coefficient-one law against the monomial route, on
-    # enumerated groves, masks with a bit flipped, and hand-built groves with
-    # long edges beyond the minimal window (which change neither).
+    # a hand-built grove, enumerated groves and masks with a bit flipped.
     rng = random.Random(1203)
-    here, near, deep = Rhombus("b", (0, 0, 0)), Rhombus("a", (0, 0, -1)), Rhombus("a", (0, -2, -2))
-    cases = [(EMPTY, [Grove(EMPTY, [here, near, deep]), Grove(EMPTY, [near])])]
+    cases = [(EMPTY, [Grove(EMPTY, [Rhombus("b", (0, 0, 0))])])]
     for ic in [random_ic(rng, depth=1, boxes=4) for _ in range(8)] + [lattice.kleber(2, 2, 2)]:
         gs = sorted(enumerate_local_moves(ic), key=grove_key)[:20]
         n = len(groves._window(ic, ic.min_cutoff).rhombi)
