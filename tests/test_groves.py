@@ -100,6 +100,22 @@ def test_check_grove():
     assert violation.kind in ("class-split", "class-shared", "component-count")
 
 
+def test_check_grove_compactness():
+    # A grove is fixed by its minimal window: each one checks clean at every
+    # larger cutoff, and a long edge beyond that window is refused.
+    for ic in (EMPTY, ONE_STEP):
+        for g in enumerate_local_moves(ic):
+            for N in range(ic.min_cutoff, 4):
+                if ic.is_cutoff(N):
+                    assert check_grove(g, N) is None, (ic, g, N)
+    # contained, but beyond EMPTY's minimal window (radius 0): deep below it,
+    # and one whose ends lie in it
+    for r in (Rhombus("a", (0, -2, -2)), Rhombus("a", (0, 0, -1))):
+        assert EMPTY.contains_rhombus(r)
+        with pytest.raises(ValueError, match=re.escape(f"{r} lies beyond the minimal window")):
+            Grove(EMPTY, [Rhombus("b", (0, 0, 0)), r])
+
+
 def test_boundary_class_counts():
     for N in range(0, 7):
         assert len(boundary_classes(N)) == 3 * N + 7
@@ -112,12 +128,6 @@ def test_grove_rejects_rhombus_outside():
     # below the window, where no window rhombus vouches for it
     with pytest.raises(ValueError):
         Grove(EMPTY, frozenset({Rhombus("a", (-3, -3, -3))}))
-    # contained, but beyond the minimal window (radius 0): deep below it, and
-    # one whose ends lie in it
-    for r in (Rhombus("a", (0, -2, -2)), Rhombus("a", (0, 0, -1))):
-        assert EMPTY.contains_rhombus(r)
-        with pytest.raises(ValueError, match=re.escape(f"{r} lies beyond the minimal window")):
-            Grove(EMPTY, [Rhombus("b", (0, 0, 0)), r])
 
 
 def test_local_move_groves_hash_apart():
