@@ -94,6 +94,21 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _set_bits_order(length: int):
+    """A key that orders masks below 1 << length as the lists of their set bits, lowest first.
+
+    At the lowest bit where two masks differ, the one that has it set sorts
+    first exactly when the other has a bit above it.  So the clear bits below
+    each mask's highest (its gaps) decide, read from bit 0 up: the gaps
+    bit-reversed over length bits, then the bit count for a mask that only
+    extends the other by a run of set bits.
+    """
+    def key(m: int) -> tuple[int, int]:
+        gaps = ~m & ((1 << m.bit_length()) - 1)
+        return int(f"{gaps:0{length}b}"[::-1], 2), m.bit_count()
+    return key
+
+
 def _sorted_groves(gs) -> list[groves.Grove]:
     """Groves of one ideal, ordered as their sorted long-edge lists.
 
@@ -101,8 +116,8 @@ def _sorted_groves(gs) -> list[groves.Grove]:
     index, and the set bits of a mask, lowest first, stand for the sorted list.
     """
     gs = list(gs)
-    ranks = range(max((g.mask.bit_length() for g in gs), default=0))
-    return sorted(gs, key=lambda g: groves._at_bits(ranks, g.mask))
+    key = _set_bits_order(max((g.mask.bit_length() for g in gs), default=0))
+    return sorted(gs, key=lambda g: key(g.mask))
 
 
 def cmd_compute(args) -> int:

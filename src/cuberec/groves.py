@@ -41,9 +41,13 @@ Enumeration comes in two independent flavours:
   the long edge reattached on the same axis below, and the three two-long
   configurations (degree 1) collapse to the single all-short successor.  The
   sum of grove monomials then transforms exactly like the recurrence
-  substitution, which is what ties the enumeration to the polynomial.  Each
-  step is a table lookup and two bit operations per mask, and the final
-  masks are the groves, which count_local_moves only counts.
+  substitution, which is what ties the enumeration to the polynomial.  A
+  mask bit stands for an edge variable, at the position of the rhombus that
+  carries it in ic.  A long edge that moves down its axis keeps its
+  variable, so a degree-2 mask stays as it is, and each step edits one set
+  in place: it takes out the masks of degree 3 or 1 at u (one AND and a set
+  lookup per mask), and puts in their successors.  The final masks are the
+  groves, which count_local_moves only counts.
 
 * enumerate_bruteforce searches every long/short choice over the window
   rhombi and keeps those passing the connectivity check; it exists purely as
@@ -569,41 +573,48 @@ def _check_within(ic: InitialConditions, rhombi, bits: int, masks: Iterable[int]
 
 
 def _local_move_masks(ic: InitialConditions) -> set[int]:
-    """Every grove's mask (Grove.mask), by local moves.
+    """Every grove's mask (Grove.mask), by local moves over edge-variable bits.
 
-    A rhombus beyond the minimal window gets a bit past the window's when it
-    is first met, and _check_within refuses the masks if any sets one.
+    Bit t stands for the edge variable of rhombi[t], which is the rhombus
+    that carries it in ic.  A variable first met beyond the minimal window
+    gets a bit past the window's, standing for the lowest rhombus met for
+    it, and _check_within refuses the masks if any sets one.
     """
     window = _window(ic, ic.min_cutoff)
     rhombi = list(window.rhombi)
-    bits = {r: 1 << t for t, r in enumerate(rhombi)}
+    bits = {r.variable(): 1 << t for t, r in enumerate(rhombi)}
+    known = len(rhombi)
 
-    def bit(r: Rhombus) -> int:
-        b = bits.get(r)
+    def bit(axis: str, u: Point3) -> int:
+        # Rhombus(axis, u) and the one below it on the axis's free coordinate
+        # carry the same variable; the walk meets the lower ones later.
+        t, x, y = _AXIS[axis]
+        v = (TAG_A + t, u[x], u[y])
+        b = bits.get(v)
         if b is None:
-            b = bits[r] = 1 << len(rhombi)
-            rhombi.append(r)
+            b = bits[v] = 1 << len(rhombi)
+            rhombi.append(None)
+        if b >> known:
+            rhombi[b.bit_length() - 1] = Rhombus(axis, _sub(u, _UNIT[t]))
         return b
 
     masks = {0}
     for u in reversed(ic.peel_sequence()):
-        # The rhombi at u and where each one's long edge moves: one step down
-        # its axis's free coordinate, which keeps its edge variable.
-        (ha, da), (hb, db), (hc, dc) = (
-            (bit(Rhombus(axis, u)), bit(Rhombus(axis, _sub(u, _UNIT[t]))))
-            for axis, (t, _, _) in _AXIS.items()
-        )
-        old = ha | hb | hc
-        successors = {
-            0: (db | dc, da | dc, da | db),
-            ha: (da,), hb: (db,), hc: (dc,),
-            ha | hb: (0,), ha | hc: (0,), hb | hc: (0,),
-        }
-        keep = ~old
-        try:
-            masks = {(m & keep) | d for m in masks for d in successors[m & old]}
-        except KeyError:
-            raise CorrespondenceMismatch(f"all three long edges present at {u}") from None
+        # Restoring u moves each long edge at u one step down its axis's free
+        # coordinate, which keeps its variable: only masks without exactly
+        # one long edge at u change.
+        a, b, c = bit("a", u), bit("b", u), bit("c", u)
+        old, one = a | b | c, {a, b, c}
+        changed = [m for m in masks if m & old not in one]
+        masks.difference_update(changed)
+        for m in changed:
+            o = m & old
+            if not o:
+                masks.update((m | b | c, m | a | c, m | a | b))
+            elif o == old:
+                raise CorrespondenceMismatch(f"all three long edges present at {u}")
+            else:
+                masks.add(m ^ o)
     _check_within(ic, rhombi, window.bits, masks)
     return masks
 
@@ -686,8 +697,10 @@ def to_simplified(g: Grove, N: int | None = None) -> SimplifiedGrove:
 def from_simplified(s: SimplifiedGrove) -> Grove:
     """Reconstruct the unique grove inducing a simplified grove.
 
-    ValueError for an edge that is not an even edge of the window, or for a
-    long edge it calls for beyond the minimal window.
+    ValueError for an edge that is not an even edge of the window, for a
+    long edge it calls for beyond the minimal window, and for an edge set
+    that no grove induces: the result must pass check_grove and give back
+    s.edges through to_simplified.
     """
     ic = s.ic
     if s.N % 2 == 0:
@@ -699,7 +712,13 @@ def from_simplified(s: SimplifiedGrove) -> Grove:
         if e not in even_bit:
             raise ValueError(f"edge {e} is not an even edge of the radius-{s.N} window")
         m ^= even_bit[e]
-    return Grove(ic, _at_bits(window.rhombi, m))
+    g = Grove(ic, _at_bits(window.rhombi, m))
+    violation = check_grove(g)
+    if violation is not None:
+        raise ValueError(f"no grove induces these even edges ({violation})")
+    if to_simplified(g, s.N).edges != s.edges:
+        raise ValueError("the even edges do not round-trip through the grove they call for")
+    return g
 
 
 def simplified_components(s: SimplifiedGrove) -> int:

@@ -257,7 +257,8 @@ class InitialConditions:
     def rhombi_in_J(self, N: int | None = None) -> tuple[Rhombus, ...]:
         """All rhombi whose four vertices lie in the radius-N window."""
         N = self.min_cutoff if N is None else N
-        return tuple(r for r in self.rhombi_touching_J(N) if sum(r.top) >= -N)
+        return self.memo(("rhombi_in", N), lambda: tuple(
+            r for r in self.rhombi_touching_J(N) if sum(r.top) >= -N))
 
     def rhombi_touching_J(self, N: int | None = None) -> tuple[Rhombus, ...]:
         """All rhombi with top-vertex sum >= -N-2 (their edges can reach the window)."""

@@ -59,6 +59,20 @@ def test_sorted_groves_follow_the_sorted_long_edges():
         assert cli._sorted_groves(gs) == by_rhombi(gs)
 
 
+def test_set_bits_order_is_the_order_of_the_set_bit_lists():
+    def set_bits(m):
+        return [t for t in range(m.bit_length()) if m >> t & 1]
+
+    rng = random.Random(1616)
+    prefixes = [0, 0b1, 0b11, 0b100001, 0b111, 0b1011, 0b101, 0b10, 1 << 199, (1 << 200) - 1]
+    for length in (1, 2, 3, 7, 64, 200):
+        masks = [m for m in prefixes if m.bit_length() <= length]
+        masks += [rng.getrandbits(rng.randint(1, length)) for _ in range(300)]
+        masks += [m & ~(1 << rng.randrange(length)) for m in masks[:100]]  # shared prefixes
+        key = cli._set_bits_order(length)
+        assert sorted(masks, key=key) == sorted(masks, key=set_bits), length
+
+
 def test_verify_passes(capsys):
     code, out = run(
         capsys, "verify", "--preset", "standard:4",

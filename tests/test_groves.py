@@ -220,6 +220,19 @@ def test_local_moves_check_containment_of_every_used_rhombus(monkeypatch):
         gr_certificate(SOMOS7, 11)
 
 
+def test_local_moves_name_the_rhombus_that_carries_a_refused_variable(monkeypatch):
+    # A variable the walk meets beyond the window stands for the lowest
+    # rhombus met for it, the one that carries it in the ideal: counted as
+    # outside, that rhombus, and no other, is named.
+    used = set().union(*(g.long_edges for g in enumerate_local_moves(lattice.standard(4))))
+    contains = InitialConditions.contains_rhombus
+    for outside in sorted(used):
+        monkeypatch.setattr(InitialConditions, "contains_rhombus",
+                            lambda self, r: r != outside and contains(self, r))
+        with pytest.raises(ValueError, match=re.escape(f"rhombus {outside} is not contained")):
+            count_local_moves(lattice.standard(4))
+
+
 def test_grove_views_read_the_window_tables(monkeypatch):
     # Once the windows are built, no per-grove view recomputes a rhombus's edges.
     ic = lattice.standard(4)
@@ -515,6 +528,20 @@ def test_simplified_roundtrip_and_components():
         s = to_simplified(g, 3)
         assert from_simplified(s) == g
         assert simplified_components(s) == 7
+
+
+def test_from_simplified_refuses_edges_no_grove_induces():
+    # Flipping one even edge of a grove inside the minimal window calls for a
+    # long-edge set that is no grove; each of the 18 flips must be refused.
+    ic = lattice.standard(3)
+    s = to_simplified(base_grove(ic))
+    even_edges = groves._window(ic, s.N).even_tables[1]
+    flips = [even_edges[t] for t in range(groves._window(ic, ic.min_cutoff).bits)]
+    assert len(flips) == 18
+    for e in flips:
+        flipped = dataclasses.replace(s, edges=s.edges ^ {e})
+        with pytest.raises(ValueError, match="no grove induces"):
+            from_simplified(flipped)
 
 
 def test_simplified_cutoff_validation():

@@ -63,6 +63,8 @@ def test_rhombi_in_J_counts_and_membership():
     assert Rhombus("a", (-1, 0, 0)) in rhombi
     assert Rhombus("c", (0, 0, -1)) in rhombi
     assert Rhombus("a", (0, 0, 0)) not in rhombi
+    # built once per radius: later calls return the same tuple
+    assert one.rhombi_in_J(1) is rhombi and one.rhombi_in_J(2) is not rhombi
 
 
 def test_edge_variable_and_inverse():
