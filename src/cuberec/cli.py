@@ -334,6 +334,8 @@ def _prop_simplified(ic, ctx):
     With distinct even edges, from_simplified inverts to_simplified on every
     mask in the window, and a grove whose round trip failed would share an
     even edge between two positions; so the round trip is checked once here.
+    Each grove's components are counted over window-index pairs
+    (_Window.even_components); no simplified grove is built.
     """
     N = ic.min_odd_cutoff
     window = groves._window(ic, N)
@@ -344,7 +346,7 @@ def _prop_simplified(ic, ctx):
         return f"rhombi {window.rhombi[t]} and {window.rhombi[u]} share the even edge {edges[t]}"
     want = (3 * N + 5) // 2
     for g in ctx["groves"]:
-        c = groves.simplified_components(groves.to_simplified(g, N))
+        c = window.even_components(g.mask)
         if c != want:
             return f"simplified grove has {c} components, expected {want}, in grove {_named(g)}"
     return None

@@ -228,30 +228,35 @@ def _pack(values: Iterable[int], width: int, lo: int, hi: int) -> int:
     return total
 
 
-def _subset_sums(values: list[int]) -> list[list[int]]:
-    """For each run of eight positions, the sum of values over every subset, indexed by its bits."""
+def _subset_sums(values: list, zero=0) -> list[list]:
+    """For each run of eight positions, the sum of values over every subset, indexed by its bits.
+
+    The values may be ints, or tuples summed by concatenation from zero=().
+    """
     tables = []
     for start in range(0, len(values), 8):
-        table = [0]
+        table = [zero]
         for v in values[start:start + 8]:
             table += [x + v for x in table]
         tables.append(table)
     return tables
 
 
-def _sum_at(tables: list[list[int]], mask: int) -> int:
-    """The sum of the _subset_sums values at the set bits of mask."""
-    total = 0
+def _sum_at(tables: list[list], mask: int, total=0):
+    """total plus the _subset_sums values at the set bits of mask; a list total grows in place."""
     for table in tables:
         total += table[mask & 255]
         mask >>= 8
     return total
 
 
-def _union(size: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], bool]:
-    """Union-find over index pairs: the parent list, and False when a pair closed a cycle."""
+def _union(size: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], int]:
+    """Union-find over index pairs: the parent list, and how many pairs joined two components.
+
+    The pairs close a cycle exactly when fewer of them join than there are.
+    """
     parent = list(range(size))
-    forest = True
+    merges = 0
     for u, v in pairs:
         while parent[u] != u:
             parent[u] = parent[parent[u]]
@@ -259,11 +264,10 @@ def _union(size: int, pairs: Iterable[tuple[int, int]]) -> tuple[list[int], bool
         while parent[v] != v:
             parent[v] = parent[parent[v]]
             v = parent[v]
-        if u == v:
-            forest = False
-        else:
+        if u != v:
             parent[u] = v
-    return parent, forest
+            merges += 1
+    return parent, merges
 
 
 def _root(parent: list[int], x: int) -> int:
@@ -317,7 +321,8 @@ class _Window:
 
     def forest(self, m: int) -> bool:
         """Whether the edges at positions m close no cycle in the window."""
-        return _union(len(self.points), self.edges(m))[1]
+        ends = self.edges(m)
+        return _union(len(self.points), ends)[1] == len(ends)
 
     @cached_property
     def axis_masks(self) -> dict[str, int]:
@@ -426,7 +431,33 @@ class _Window:
         -[t = u].  A mask that breaks the law at t makes the base sum at t or
         the change at t of one of its bits wrong, so this window check is at
         least as strong as checking the law on every grove.
+
+        All t are checked at once (TAOCP 4A 7.1.3): field t, w bits wide, of
+        point p's int is 1 when p lies in t's quadrant.  Summed with signs,
+        the fields hold the sums at every t, and a sum of signed fields
+        s_t << w*t with each |s_t| < 2**w is 0 only when every s_t is.  The
+        base sums are bounded by the sum of |degree - 2|, and each change
+        less its target lies in -2..3, so w covers both.  Only when the
+        packed check fails does the scan over t, then u, name the first fault.
         """
+        n, points, base = self.bits, self.points, self.base_degrees
+        w = (sum(abs(d - 2) for d in base) + 3).bit_length()
+        fields = [0] * len(points)
+        for t, r in enumerate(self.rhombi[:n]):
+            _, x, y = _AXIS[r.axis]
+            tx, ty, field = r.top[x], r.top[y], 1 << w * t
+            for i, p in enumerate(points):
+                if p[x] < tx and p[y] < ty:
+                    fields[i] += field
+        ends = zip(self.long_ends[:n], self.short_ends[:n])
+        if (sum((d - 2) * f for d, f in zip(base, fields)) == 0
+                and all(fields[a] + fields[b] - fields[c] - fields[d] == -(1 << w * u)
+                        for u, ((a, b), (c, d)) in enumerate(ends))):
+            return None
+        return self._quadrant_scan()
+
+    def _quadrant_scan(self) -> str | None:
+        """quadrant_fault by the sums at each t in turn, then each u's change there."""
         n, points, base = self.bits, self.points, self.base_degrees
         rhombi, ends = self.rhombi[:n], list(zip(self.long_ends[:n], self.short_ends[:n]))
         for t, r in enumerate(rhombi):
@@ -464,6 +495,24 @@ class _Window:
             edges.append((points[a], points[b]))
         even = [i for i, p in enumerate(points) if sum(p) % 2 == 0]
         return flip, edges, {e: 1 << t for t, e in enumerate(edges)}, even
+
+    @cached_property
+    def even_pair_tables(self) -> list[list[tuple]]:
+        """even_tables' edges as window-index pairs, in _subset_sums tables of eight positions."""
+        index = self.index
+        return _subset_sums([((index[a], index[b]),) for a, b in self.even_tables[1]], ())
+
+    def even_components(self, mask: int) -> int:
+        """How many components the even edges of the grove with this mask leave on the even points.
+
+        Its even edges are the index pairs at the positions where mask
+        differs from flip, and each pair that joins two components takes one
+        away from the even points' count (to_simplified and
+        simplified_components count the same from point pairs).
+        """
+        flip, _, _, even = self.even_tables
+        pairs = _sum_at(self.even_pair_tables, mask ^ flip, [])
+        return len(even) - _union(len(self.points), pairs)[1]
 
 
 def _window(ic: InitialConditions, N: int) -> _Window:

@@ -13,6 +13,16 @@ upward closed within the cone.  A cutoff N bounds the region where the
 initial points deviate from the coordinate-wall pattern; the minimal cutoff
 is max(0, 1 - min coordinate sum over u_fin).
 
+Upward closure puts exactly one initial point on each (1,1,1) line of the
+cone: walking down from the line's wall point (max coordinate 0), the points
+in u_fin come first, and the first point past them is the initial one.  At a
+cutoff N, the window J(N) is the initial points with coordinate sum >= -N-2,
+one per wall point of that sum or more, 3*C(N+3,2)+1 in all; points_in_J
+reads them off the lines.  J(N) is J(N-1) plus the band of sum -N-2, so the
+rhombi touching J(N) are those touching J(N-1) plus the contained ones whose
+top lies in that band.  Both rules assume upward closure, so an ideal built
+with validate=False that lacks it is outside their contract.
+
 Rhombi come in three axes by one rule: axis t of AXES is free in coordinate
 t.  Its rhombus steps down from the top vertex along the other two
 coordinates, and its edge variable has tag TAG_A + t, indexed by the top's
@@ -229,15 +239,27 @@ class InitialConditions:
         return value
 
     def points_in_J(self, N: int | None = None) -> tuple[Point3, ...]:
-        """All initial points with coordinate sum >= -N-2, sorted."""
+        """All initial points with coordinate sum >= -N-2, sorted; NotACutoff unless N is one.
+
+        One per (1,1,1) line, by height() from the line's wall point, for
+        each wall point of sum >= -N-2.  At a cutoff every point of u_fin has
+        sum > -N (one of sum <= -N would need its diagonal predecessor in
+        u_fin too, and so on without end), so each of those initial points
+        lies within the window, and no other can.
+        """
         N = self.min_cutoff if N is None else N
 
         def build():
             if not self.is_cutoff(N):
                 raise NotACutoff(str(N))
-            lo = -N - 2
-            cube = itertools.product(range(lo, 1), repeat=3)  # in sorted order
-            return tuple(p for p in cube if sum(p) >= lo and self.in_I(p))
+            lo, found = -N - 2, []
+            for i in range(lo, 1):
+                for j in range(lo - i, 1):
+                    # The wall points (max coordinate 0) with these first two coordinates.
+                    for k in range(lo - i - j, 1) if i == 0 or j == 0 else (0,):
+                        h = self.height((i, j, k))
+                        found.append((i + h, j + h, k + h))
+            return tuple(sorted(found))
 
         return self.memo(("points", N), build)
 
@@ -261,15 +283,33 @@ class InitialConditions:
             r for r in self.rhombi_touching_J(N) if sum(r.top) >= -N))
 
     def rhombi_touching_J(self, N: int | None = None) -> tuple[Rhombus, ...]:
-        """All rhombi with top-vertex sum >= -N-2 (their edges can reach the window)."""
+        """All contained rhombi with top-vertex sum >= -N-2, sorted; their edges can reach J(N).
+
+        At the least cutoff every (axis, top) over the window's points is
+        tried.  Each radius above extends the one below with the tops of sum
+        -N-2, the band J(N) adds to J(N-1), one radius at a time from the
+        highest already built; every candidate goes through contains_rhombus.
+        """
         N = self.min_cutoff if N is None else N
+        memo, least = self._windows, self.min_cutoff
+        if ("rhombi", N) not in memo:
+            points = self.points_in_J(N)  # NotACutoff unless N is one
+            n = N
+            while n > least and ("rhombi", n - 1) not in memo:
+                n -= 1
+            for m in range(n, N + 1):
+                if m == least:
+                    rhombi = self._contained([p for p in points if sum(p) >= -m - 2])
+                else:
+                    band = self._contained([p for p in points if sum(p) == -m - 2])
+                    rhombi = tuple(sorted(memo["rhombi", m - 1] + band))
+                memo["rhombi", m] = rhombi
+        return memo["rhombi", N]
 
-        def build():
-            # Axis first, then the sorted points: already in sorted order.
-            rhombi = (Rhombus(axis, p) for axis in AXES for p in self.points_in_J(N))
-            return tuple(r for r in rhombi if self.contains_rhombus(r))
-
-        return self.memo(("rhombi", N), build)
+    def _contained(self, tops: list[Point3]) -> tuple[Rhombus, ...]:
+        """The contained rhombi over the sorted tops, in sorted order: axis first, then top."""
+        rhombi = (Rhombus(axis, p) for axis in AXES for p in tops)
+        return tuple(r for r in rhombi if self.contains_rhombus(r))
 
     def variable_rhombus(self, v: VarKey) -> Rhombus:
         """The unique rhombus carrying edge variable v, if it exists.

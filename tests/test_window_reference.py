@@ -1,0 +1,191 @@
+"""The window layer against its definitions.
+
+points_in_J reads one initial point off each (1,1,1) line, and
+rhombi_touching_J extends the radius below by one band of tops.  The
+reference here is the definition instead: every point of the cube through
+in_I, and every (axis, point) of the window through contains_rhombus.  Both
+must give equal tuples, order included.
+
+The coefficient-one law is checked packed, all rhombi at once; the ordered
+scan over them is the reference, on windows corrupted at random.  The
+simplified property counts components over window-index pairs;
+to_simplified and simplified_components are the reference.
+"""
+
+import itertools
+import math
+import random
+
+import pytest
+
+from conftest import random_ic, small_cutoff_family
+from cuberec import groves, lattice
+from cuberec.lattice import _AXIS, AXES, NotACutoff, Rhombus
+
+
+def reference_windows(ic, N):
+    """points_in_J, rhombi_touching_J and rhombi_in_J at radius N, by their definition."""
+    lo = -N - 2
+    cube = itertools.product(range(lo, 1), repeat=3)  # in sorted order
+    points = tuple(p for p in cube if sum(p) >= lo and ic.in_I(p))
+    rhombi = (Rhombus(axis, p) for axis in AXES for p in points)
+    touching = tuple(r for r in rhombi if ic.contains_rhombus(r))
+    return points, touching, tuple(r for r in touching if sum(r.top) >= -N)
+
+
+def fixed_ideals():
+    """Named ideals: the small-cutoff family, then the presets."""
+    named = {f"small{t}": ic for t, ic in enumerate(small_cutoff_family())}
+    named.update({f"standard{n}": lattice.standard(n) for n in range(1, 8)})
+    named["kleber333"] = lattice.kleber(3, 3, 3)
+    named.update({f"gr412-{l}": lattice.gale_robinson(4, 1, 2, l) for l in range(13, 17)})
+    return named
+
+
+def random_ideals():
+    rng = random.Random(1717)
+    return [random_ic(rng, depth) for depth in (2, 3) for _ in range(80)]
+
+
+def assert_windows_match(ic, radii):
+    for N in radii:
+        built = ic.points_in_J(N), ic.rhombi_touching_J(N), ic.rhombi_in_J(N)
+        assert built == reference_windows(ic, N), (ic, N)
+
+
+@pytest.mark.parametrize("name", fixed_ideals())
+def test_windows_match_the_definition_on_fixed_ideals(name):
+    ic = fixed_ideals()[name]
+    least = ic.min_cutoff
+    assert_windows_match(ic, range(least, least + 6))
+
+
+def test_windows_match_the_definition_on_random_ideals():
+    ideals = random_ideals()
+    assert len(ideals) >= 150
+    for ic in ideals:
+        least = ic.min_cutoff
+        assert_windows_match(ic, range(least, least + 6))
+
+
+def test_windows_asked_first_far_above_the_least_cutoff():
+    # A fresh ideal builds every radius up to the one asked for, with no
+    # recursion; the radii below then read back what was built.
+    ic = lattice.kleber(2, 3, 2)
+    far = ic.min_cutoff + 40
+    assert_windows_match(ic, [far])
+    assert_windows_match(ic, [ic.min_cutoff, far - 1])
+
+
+def test_windows_in_any_order_of_radii():
+    rng = random.Random(17)
+    for ic in random_ideals()[:20]:
+        radii = list(range(ic.min_cutoff, ic.min_cutoff + 6))
+        rng.shuffle(radii)
+        assert_windows_match(ic, radii)
+
+
+def test_window_below_the_least_cutoff_is_refused():
+    ic = lattice.standard(4)
+    for build in (ic.points_in_J, ic.rhombi_touching_J, ic.rhombi_in_J):
+        with pytest.raises(NotACutoff):
+            build(ic.min_cutoff - 1)
+
+
+def quadrant_scan(window):
+    """The coefficient-one window check as an ordered scan over t, then u."""
+    n, points, base = window.bits, window.points, window.base_degrees
+    rhombi, ends = window.rhombi[:n], list(zip(window.long_ends[:n], window.short_ends[:n]))
+    for t, r in enumerate(rhombi):
+        _, x, y = _AXIS[r.axis]
+        tx, ty = r.top[x], r.top[y]
+        inside = [p[x] < tx and p[y] < ty for p in points]
+        s = sum(d - 2 for d, q in zip(base, inside) if q)
+        if s:
+            return f"quadrant sum {s} at {r} in the base grove, expected 0"
+        for u, ((a, b), (c, d)) in enumerate(ends):
+            change = inside[a] + inside[b] - inside[c] - inside[d]
+            if change != -(t == u):
+                return (f"the long edge of {rhombi[u]} changes the quadrant sum at {r} "
+                        f"by {change}, expected {-(t == u)}")
+    return None
+
+
+def corrupt(window, rng):
+    """Change one or two base degrees or edge ends of a window at random."""
+    size = len(window.points)
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            degrees = window.base_degrees.copy()
+            degrees[rng.randrange(size)] = rng.choice([0, 1, 3, 4, 6, 12, 40, 300])
+            window.base_degrees = degrees
+        else:
+            name = "long_ends" if kind == 1 else "short_ends"
+            ends = list(getattr(window, name))
+            t = rng.randrange(window.bits)
+            ends[t] = (rng.randrange(size), rng.randrange(size))
+            setattr(window, name, ends)
+
+
+def test_packed_coeffone_check_names_what_the_scan_names():
+    rng = random.Random(2024)
+    ideals = [lattice.standard(n) for n in range(1, 6)] + [lattice.kleber(2, 3, 2)]
+    ideals += [random_ic(rng, depth) for depth in (2, 3) for _ in range(10)]
+    kinds = set()
+    for ic in ideals:
+        assert groves._Window(ic, ic.min_cutoff).quadrant_fault is None
+        for _ in range(12):
+            window = groves._Window(ic, ic.min_cutoff)
+            if window.bits == 0:
+                continue
+            corrupt(window, rng)
+            want = quadrant_scan(window)
+            assert window.quadrant_fault == want, ic
+            kinds.add(want.split()[0] if want else None)
+    assert kinds == {"quadrant", "the", None}
+
+
+def test_packed_coeffone_check_is_exact_where_narrow_fields_would_cancel():
+    # Base degrees changed at two points by amounts whose quadrant sums,
+    # packed v bits wide, cancel: a width that ignored the sums' size would
+    # pass these windows, which the scan finds at fault.
+    rng = random.Random(2026)
+    for ic in (lattice.standard(4), lattice.kleber(2, 3, 2), lattice.gale_robinson(4, 1, 2, 13)):
+        for v in (1, 2, 3, 4):
+            window = groves._Window(ic, ic.min_cutoff)
+            fields = [0] * len(window.points)
+            for t, r in enumerate(window.rhombi[:window.bits]):
+                _, x, y = _AXIS[r.axis]
+                for i, p in enumerate(window.points):
+                    if p[x] < r.top[x] and p[y] < r.top[y]:
+                        fields[i] += 1 << v * t
+            a, b = rng.sample([i for i, f in enumerate(fields) if f], 2)
+            while fields[a] == fields[b]:
+                a, b = rng.sample([i for i, f in enumerate(fields) if f], 2)
+            g = math.gcd(fields[a], fields[b])
+            degrees = window.base_degrees.copy()
+            degrees[a] += fields[b] // g
+            degrees[b] -= fields[a] // g
+            window.base_degrees = degrees
+            want = quadrant_scan(window)
+            assert want is not None and window.quadrant_fault == want
+
+
+def test_simplified_property_counts_what_simplified_components_counts():
+    rng = random.Random(2025)
+    ideals = [lattice.standard(n) for n in (3, 4, 5)] + [lattice.kleber(2, 3, 2)]
+    ideals += [random_ic(rng) for _ in range(20)]
+    counts = set()
+    for ic in ideals:
+        window = groves._window(ic, ic.min_odd_cutoff)
+        masks = sorted(groves._local_move_masks(ic))
+        # Masks with a flipped bit are mostly not groves, with other counts.
+        flipped = [m ^ 1 << rng.randrange(len(window.rhombi))
+                   for m in rng.sample(masks, min(len(masks), 3))]
+        for mask in masks + flipped:
+            g = groves._grove(ic, mask)
+            want = groves.simplified_components(groves.to_simplified(g))
+            assert window.even_components(mask) == want, (ic, g)
+            counts.add(want - (3 * window.N + 5) // 2)
+    assert len(counts) > 1
