@@ -12,35 +12,40 @@ down, divided exactly by the value at the diagonal predecessor:
 where the coefficient system depends on the mode:
 
     edge-vars   A,B,C are the edge variables a(j,k), b(i,k), c(i,j)
-    abc         coefficients alpha, beta, gamma; realised by transforming the
-                edge-vars result (each edge variable maps to a square root of
-                a coefficient ratio, tracked as doubled integer exponents)
+    abc         coefficients alpha, beta, gamma in place of B*C, C*A, A*B
+                (each edge variable maps to a square root of a coefficient
+                ratio, so the products map to the coefficients themselves)
     shift-octa  the third term is dropped (the degenerate two-term recurrence)
     all-ones    every variable is 1; numeric evaluation only
     custom      A,B,C are fixed monomials in the indeterminate t
 
 Three evaluators are provided.  f_symbolic and f_numeric share one walk up
-the peel sequence (_walk); only the ring's step differs.  A step sums the
+the peel sequence (_walk); only the ring's step differs.  In every mode, abc
+included, the walk runs in the ring the answer lives in: abc mode walks with
+alpha, beta and gamma, never through the edge variables.  A step sums the
 coefficient-weighted neighbour products and divides exactly by the diagonal
 value: over Laurent polynomials with products, sums and ``div_exact``
 (_laurent_step), over rationals with one kernel on reduced (numerator,
-denominator) int pairs (_rational_step), which needs one ``divmod`` per step
-and a ``gcd`` only when that leaves a remainder.  f_numeric converts each
-assigned value to a pair once and the origin value back to a Fraction at the
-end.  The one-dimensional Gale-Robinson recursion in ``sequences`` takes the
-same two steps.  f_via_substitution is kept independent of that walk, so it
-checks f_symbolic: it starts from the trivial ideal and, along the reversed
-peel sequence, replaces each restored point's variable by its recurrence
-step, the three-term numerator over the diagonal predecessor's variable, with
-one ``laurent.substitute``.  By the Laurent phenomenon every intermediate
-result is a Laurent polynomial, so the exact division inside each
-substitution never leaves a remainder.  f_numeric is checked by the
-Gale-Robinson recursion, which shares its rational kernel but not its walk,
-and by evaluating f_symbolic's polynomial, which shares no rational step with
-it: Laurent arithmetic, then ``laurent.evaluate``'s sum over one common
-denominator.  The two-term specialization is checked against its own
-index-transformed recurrence (_g_transform_poly), which also stays off the
-walk.
+denominator) int pairs (_rational_step), which sums over the least common
+denominator, needs one ``divmod`` per step and a ``gcd`` only when that
+leaves a remainder.  f_numeric converts each assigned value to a pair once
+and the origin value back to a Fraction at the end.  The one-dimensional
+Gale-Robinson recursion in ``sequences`` takes the same two steps.
+f_via_substitution is kept independent of that walk, so it checks
+f_symbolic: it starts from the trivial ideal and, along the reversed peel
+sequence, replaces each restored point's variable by its recurrence step,
+the three-term numerator over the diagonal predecessor's variable, with one
+``laurent.substitute``.  By the Laurent phenomenon every intermediate result
+is a Laurent polynomial, so the exact division inside each substitution
+never leaves a remainder.  In abc mode it substitutes with edge variables
+and collapses them with abc_from_edge_vars at the end, so the direct abc
+walk is checked by a route that shares neither its coefficients nor its
+walk.  f_numeric is checked by the Gale-Robinson recursion, which shares its
+rational kernel but not its walk, and by evaluating f_symbolic's polynomial,
+which shares no rational step with it: Laurent arithmetic, then
+``laurent.evaluate``'s sum over one common denominator.  The two-term
+specialization is checked against its own index-transformed recurrence
+(_g_transform_poly), which also stays off the walk.
 """
 
 from __future__ import annotations
@@ -156,20 +161,31 @@ def _rational_step(terms, den: tuple[int, int]) -> tuple[int, int]:
     """The same step over rationals held as (numerator, denominator) int pairs.
 
     Every value is in lowest terms with a positive denominator, and so is the
-    result; a coefficient need only have a nonzero denominator.  The terms
-    are summed over one common denominator and multiplied by the reciprocal
-    of ``den``, and the sign goes to the numerator.  From an integer start the
-    quotient is an integer by the Laurent phenomenon, so one ``divmod``
-    settles it; only a remainder costs a ``gcd``, of the remainder and the
-    denominator.  A zero ``den`` raises ZeroDivisionError.
+    result; a coefficient need only have a nonzero denominator, of either
+    sign.  The terms are summed over the least common multiple of their
+    denominators, up to sign, as it grows (TAOCP Vol. 2, 4.5.1): each new
+    denominator is divided by its gcd with the running one before the two
+    multiply, and where either is 1 no gcd is taken, so sums of integers
+    cost none.  The sum is multiplied by the reciprocal of ``den`` and the
+    sign goes to the numerator.  From an integer start the quotient is an integer by the
+    Laurent phenomenon, so one ``divmod`` settles it; only a remainder costs
+    a ``gcd``, of the remainder and the denominator.  A zero ``den`` raises
+    ZeroDivisionError.
     """
     dn, dd = den
     if not dn:
         raise ZeroDivisionError("division by zero")
     num, d = 0, 1
     for (cn, cd), (n1, d1), (n2, d2) in terms:
-        td = cd * d1 * d2
-        num, d = num * td + cn * n1 * n2 * d, d * td
+        tn, td = cn * n1 * n2, cd * d1 * d2
+        if d == 1:
+            num, d = num * td + tn, td
+        elif td == 1:
+            num += tn * d
+        else:
+            g = gcd(d, td)
+            td //= g
+            num, d = num * td + tn * (d // g), d * td
     num, d = num * dd, d * dn
     if d < 0:
         num, d = -num, -d
@@ -182,7 +198,8 @@ def _rational_step(terms, den: tuple[int, int]) -> tuple[int, int]:
 
 def _as_pair(x: Fraction | int) -> tuple[int, int]:
     """A rational as the reduced (numerator, denominator) pair _rational_step takes."""
-    x = Fraction(x)
+    if not isinstance(x, (int, Fraction)):  # an int or Fraction is already reduced
+        x = Fraction(x)
     return (x.numerator, x.denominator)
 
 
@@ -223,9 +240,12 @@ def _walk(ic: InitialConditions, leaf, coeffs, step):
 
 
 def f_symbolic(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPoly:
-    """The exact Laurent polynomial at the origin for the given mode."""
-    if mode == MODE_ABC:
-        return abc_from_edge_vars(f_symbolic(ic, MODE_EDGE_VARS))
+    """The exact Laurent polynomial at the origin for the given mode.
+
+    In abc mode the walk's coefficients are alpha, beta and gamma themselves,
+    the images of B*C, C*A and A*B under abc_from_edge_vars, so it gives the
+    polynomial that abc_from_edge_vars makes of the edge-vars one.
+    """
     return _walk(
         ic,
         lambda p: LaurentPoly.variable(xvar(*p)),

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, and exit codes."""
 
+import hashlib
 import json
 import random
 
@@ -25,6 +26,17 @@ def test_compute_polynomial_json(capsys):
     assert code == 0
     poly = laurent.from_json(json.loads(out))
     assert poly == recurrence.f_symbolic(lattice.standard(2))
+
+
+def test_compute_abc_prints_the_edge_vars_route_bytes(capsys):
+    # The direct abc walk prints what abc_from_edge_vars of the edge-vars
+    # polynomial printed; the digest pins those bytes.
+    code, out = run(capsys, "compute", "--mode", "abc", "--preset", "standard:4")
+    assert code == 0
+    via = recurrence.abc_from_edge_vars(recurrence.f_symbolic(lattice.standard(4)))
+    assert out == json.dumps(laurent.to_json(via)) + "\n"
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "07ef231cf6bcbd1e64c79e7b603b6db32979b13771adb5ead61bea8ef2c2a6f5"
 
 
 def test_compute_shift_octa(capsys):

@@ -34,28 +34,51 @@ def check_step(terms, den) -> tuple[int, int]:
     return got
 
 
-def random_value(rng: random.Random):
-    """A signed int or a signed Fraction, either one possibly large."""
+def random_value(rng: random.Random, kind: str = "any"):
+    """A signed int or a signed Fraction, either one possibly large.
+
+    kind "int" draws only ints, and "shared" only Fractions whose
+    denominators, before reduction, are multiples of 6.
+    """
     top = rng.choice((9, 10**6, 10**30))
     n = rng.randint(-top, top)
-    return n if rng.random() < 0.5 else Fraction(n, rng.randint(1, top))
+    if kind == "int" or kind == "any" and rng.random() < 0.5:
+        return n
+    return Fraction(n, rng.randint(1, top) * (6 if kind == "shared" else 1))
 
 
-def random_terms(rng: random.Random) -> list:
+def random_terms(rng: random.Random, kind: str = "any") -> list:
     terms = []
     for _ in range(rng.randint(0, 3)):
-        coeff = 0 if rng.random() < 0.25 else random_value(rng)
-        terms.append((pair(coeff), pair(random_value(rng)), pair(random_value(rng))))
+        coeff = pair(0 if rng.random() < 0.25 else random_value(rng, kind))
+        if coeff[0] and rng.random() < 0.3:
+            # f_numeric's weight gives a negative value under a negative
+            # exponent as such a pair: the denominator carries the sign.
+            coeff = (-coeff[0], -coeff[1])
+        terms.append((coeff, pair(random_value(rng, kind)), pair(random_value(rng, kind))))
     return terms
+
+
+def shares_factor(terms) -> bool:
+    """Whether a term's denominator shares a factor with the product of those before it."""
+    before = 1
+    for (_, cd), (_, d1), (_, d2) in terms:
+        td = cd * d1 * d2
+        if gcd(before, td) > 1:
+            return True
+        before *= td
+    return False
 
 
 def test_rational_step_matches_fraction_arithmetic():
     rng = random.Random(2002)
     seen = {"zero coefficient": 0, "zero sum": 0, "negative den": 0,
-            "integer quotient": 0, "fractional quotient": 0}
-    for _ in range(3000):
-        terms = random_terms(rng)
-        shape = rng.randrange(3)
+            "integer quotient": 0, "fractional quotient": 0,
+            "negative coefficient den": 0, "shared factor": 0, "unit dens": 0}
+    for _ in range(5000):
+        shape = rng.randrange(5)
+        kind = {3: "int", 4: "shared"}.get(shape, "any")
+        terms = random_terms(rng, kind)
         if shape == 1 and terms:
             # Cancel the sum with the negated first term.
             coeff, v1, v2 = terms[0]
@@ -65,13 +88,17 @@ def test_rational_step_matches_fraction_arithmetic():
             # A diagonal value that divides the sum an integer number of times.
             den = total / rng.choice((-3, -1, 1, 2, 7))
         else:
-            den = Fraction(random_value(rng) or 1)
+            den = Fraction(random_value(rng, kind) or 1)
         n, d = check_step(terms, pair(den))
         seen["zero coefficient"] += any(not coeff[0] for coeff, _, _ in terms)
         seen["zero sum"] += not total
         seen["negative den"] += den < 0
         seen["integer quotient"] += d == 1 and n != 0
         seen["fractional quotient"] += d > 1
+        seen["negative coefficient den"] += any(coeff[1] < 0 for coeff, _, _ in terms)
+        seen["shared factor"] += shares_factor(terms)
+        seen["unit dens"] += bool(terms) and all(
+            coeff[1] == d1 == d2 == 1 for coeff, (_, d1), (_, d2) in terms)
     assert min(seen.values()) > 100, seen
 
 
@@ -85,6 +112,13 @@ def test_rational_step_examples():
     assert check_step([(one, (1, 2), (1, 3)), ((-1, 1), (1, 3), (1, 2))], (-5, 7)) == (0, 1)
     # No terms at all: every coefficient vanished.
     assert check_step([], (4, 9)) == (0, 1)
+    # A coefficient pair with a negative denominator: -1/2 as (1, -2).
+    assert check_step([((1, -2), (3, 1), (5, 1)), (one, (1, 2), (1, 1))], (1, 1)) == (-7, 1)
+    # Denominators 6, 4 and 10 share factors; their least common multiple is 60.
+    terms = [(one, (1, 2), (1, 3)), ((3, 4), one, one), ((-1, 5), (1, 2), one)]
+    assert check_step(terms, (1, 1)) == (49, 60)
+    # All-unit denominators: an integer sum and an exact quotient.
+    assert check_step([(one, (6, 1), (7, 1)), ((2, 1), (-3, 1), (4, 1))], (9, 1)) == (2, 1)
 
 
 def test_rational_step_rejects_a_zero_diagonal_value():

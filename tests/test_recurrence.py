@@ -28,6 +28,7 @@ from cuberec.recurrence import (
     CustomMode,
     DivisionByZeroDuringRecursion,
     RecursionEscaped,
+    abc_from_edge_vars,
     f_numeric,
     f_symbolic,
     f_via_substitution,
@@ -167,6 +168,23 @@ def test_abc_mode():
         + mono((laurent.GAMMA, 1), (xvar(0, 0, -1), 1), (xvar(-1, -1, 0), 1),
                (xvar(-1, -1, -1), -1))
     )
+
+
+def test_abc_walk_matches_both_edge_vars_routes():
+    # The direct walk in alpha, beta, gamma against abc_from_edge_vars of the
+    # edge-vars walk and of the substitution polynomial.
+    rng = random.Random(2018)
+    ideals = [lattice.standard(n) for n in range(1, 6)]
+    ideals += [lattice.kleber(2, 3, 2), lattice.gale_robinson(4, 1, 2, 12)]
+    draws = (random_ic(rng, depth=rng.choice((2, 3))) for _ in itertools.count())
+    # Some depth-3 ideals have a million groves.
+    ideals += itertools.islice((ic for ic in draws if 1 < f_numeric(ic) <= 800), 20)
+    for ic in ideals:
+        direct = f_symbolic(ic, MODE_ABC)
+        via_walk = abc_from_edge_vars(f_symbolic(ic))
+        assert direct == via_walk, ic
+        assert laurent.to_json(direct) == laurent.to_json(via_walk), ic
+        assert direct == f_via_substitution(ic, MODE_ABC), ic
 
 
 def test_custom_mode_t_parity():

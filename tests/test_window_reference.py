@@ -189,3 +189,19 @@ def test_simplified_property_counts_what_simplified_components_counts():
             assert window.even_components(mask) == want, (ic, g)
             counts.add(want - (3 * window.N + 5) // 2)
     assert len(counts) > 1
+
+
+def test_no_grove_has_an_even_edge_past_the_minimal_window():
+    # At the least odd cutoff N the positions past `bits` are the band of top
+    # sum -N, which is odd, so each one's even edge is its long edge; no grove
+    # sets those bits, so flip has none of them and every grove's even edges
+    # lie below `bits`.
+    rng = random.Random(2026)
+    ideals = list(fixed_ideals().values()) + [random_ic(rng, depth=3) for _ in range(60)]
+    extended = 0
+    for ic in ideals:
+        window = groves._window(ic, ic.min_odd_cutoff)
+        assert all(sum(r.top) == -window.N for r in window.rhombi[window.bits:]), ic
+        assert window.even_tables[0] >> window.bits == 0, ic
+        extended += len(window.rhombi) > window.bits
+    assert extended > 10, extended
