@@ -353,9 +353,15 @@ def _prop_simplified(ic, ctx):
 
 
 def _prop_octahedron(ic, ctx):
+    """The two-term specialization by three routes: walk, substitution, balanced groves.
+
+    octahedron_check compares the walk in shift-octa mode with substitution
+    in that mode; the sum over the groves with n_a + n_b = n_c, edge
+    variables dropped, must then equal the walk's polynomial.
+    """
     report = recurrence.octahedron_check(ic)
     if not report.equal:
-        return "transformed recurrence disagrees with the direct one"
+        return "substitution disagrees with the walk in shift-octa mode"
 
     window = groves._window(ic, ic.min_cutoff)
 

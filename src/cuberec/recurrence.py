@@ -44,8 +44,9 @@ walk.  f_numeric is checked by the Gale-Robinson recursion, which shares its
 rational kernel but not its walk, and by evaluating f_symbolic's polynomial,
 which shares no rational step with it: Laurent arithmetic, then
 ``laurent.evaluate``'s sum over one common denominator.  The two-term
-specialization is checked against its own index-transformed recurrence
-(_g_transform_poly), which also stays off the walk.
+specialization, the octahedron recurrence in the coordinates (i+j, i-k,
+j-k), is the walk in shift-octa mode; octahedron_check compares it with
+substitution in the same mode.
 """
 
 from __future__ import annotations
@@ -357,61 +358,23 @@ def f_numeric(
 @dataclass(frozen=True)
 class OctahedronReport:
     direct: LaurentPoly
-    transformed: LaurentPoly
+    substituted: LaurentPoly
 
     @property
     def equal(self) -> bool:
-        return self.direct == self.transformed
+        return self.direct == self.substituted
 
 
 def octahedron_check(ic: InitialConditions) -> OctahedronReport:
     """Compute the two-term specialization two ways and compare.
 
-    The direct route runs the degenerate recurrence on lattice points; the
-    second runs the index-transformed recurrence g[x,y,z] with
-    (x,y,z) = (i+j, i-k, j-k) and compares at the origin.
+    ``direct`` is the walk in shift-octa mode, ``substituted`` the
+    substitution route in the same mode, which shares neither the walk's
+    driver nor its memo.  In coordinates (x, y, z) = (i+j, i-k, j-k) the
+    two-term recurrence is the octahedron recurrence (Speyer), whose five
+    neighbours are the first two pairs and the diagonal of _neighbor_scheme.
     """
-    direct = f_symbolic(ic, MODE_SHIFT_OCTA)
-    transformed = _g_transform_poly(ic)
-    return OctahedronReport(direct=direct, transformed=transformed)
-
-
-def _g_transform_poly(ic: InitialConditions) -> LaurentPoly:
-    memo: dict[Point3, LaurentPoly] = {}
-
-    # Every step below changes x+y+z by 0 or -2, so from the origin it stays
-    # even and the halving is exact.
-    def to_lattice(g: Point3) -> Point3:
-        x, y, z = g
-        return ((x + y - z) // 2, (x - y + z) // 2, (x - y - z) // 2)
-
-    def children(g: Point3):
-        x, y, z = g
-        return (
-            ((x - 1, y - 1, z), (x - 1, y + 1, z)),
-            ((x - 1, y, z - 1), (x - 1, y, z + 1)),
-            (x - 2, y, z),
-        )
-
-    stack = [(0, 0, 0)]
-    while stack:
-        g = stack[-1]
-        if g in memo:
-            stack.pop()
-            continue
-        p = to_lattice(g)
-        if ic.in_I(p):
-            memo[g] = LaurentPoly.variable(xvar(*p))
-            stack.pop()
-            continue
-        if not (ic.in_cone(p) and ic.in_U(p)):
-            raise RecursionEscaped(p)
-        (pair1, pair2, below) = children(g)
-        pending = [c for c in (*pair1, *pair2, below) if c not in memo]
-        if pending:
-            stack.extend(pending)
-            continue
-        num = memo[pair1[0]] * memo[pair1[1]] + memo[pair2[0]] * memo[pair2[1]]
-        memo[g] = div_exact(num, memo[below])
-        stack.pop()
-    return memo[(0, 0, 0)]
+    return OctahedronReport(
+        direct=f_symbolic(ic, MODE_SHIFT_OCTA),
+        substituted=f_via_substitution(ic, MODE_SHIFT_OCTA),
+    )

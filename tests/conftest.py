@@ -1,10 +1,11 @@
-"""Shared helpers: seeded random initial conditions and exact plane geometry."""
+"""Shared helpers: seeded random initial conditions, the balanced-grove sum and exact plane geometry."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
+from cuberec import groves, laurent
 from cuberec.lattice import InitialConditions, PlanePoint
 
 
@@ -20,6 +21,18 @@ def random_ic(rng: random.Random, depth: int = 2, boxes: int = 3) -> InitialCond
         p = tuple(rng.randint(-depth, 0) for _ in range(3))
         pts.update(up_closure(p))
     return InitialConditions(pts)
+
+
+def balanced_grove_sum(ic: InitialConditions, gs) -> laurent.LaurentPoly:
+    """The sum over the groves gs of ic with n_a + n_b = n_c, edge variables dropped."""
+    window = groves._window(ic, ic.min_cutoff)
+
+    def balanced(g):
+        a, b, c = window.axis_counts(g.mask)
+        return a + b == c
+
+    return laurent.drop_variables(groves.grove_sum(filter(balanced, gs)),
+                                  (laurent.TAG_A, laurent.TAG_B, laurent.TAG_C))
 
 
 def small_cutoff_family() -> list[InitialConditions]:

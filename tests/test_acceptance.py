@@ -191,8 +191,8 @@ def test_criterion_10_octahedron_specialization():
                     (laurent.TAG_A, laurent.TAG_B, laurent.TAG_C),
                 )
         assert filtered == report.direct, n
-    print("criterion 10: PASS - two-term specialization matches the transformed "
-          "recurrence and the filtered grove sum for orders 1..4")
+    print("criterion 10: PASS - two-term specialization matches the substitution "
+          "route and the filtered grove sum for orders 1..4")
 
 
 def test_criterion_11_exact_division_never_failed(division_failure_baseline):

@@ -11,7 +11,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from conftest import up_closure  # noqa: E402
+from conftest import balanced_grove_sum, up_closure  # noqa: E402
 from cuberec import groves, laurent, recurrence  # noqa: E402
 from cuberec.lattice import InitialConditions  # noqa: E402
 
@@ -28,10 +28,18 @@ SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
 @given(ideals, st.randoms(use_true_random=False))
 def test_routes_to_the_polynomial_agree(ic, rng):
     f = recurrence.f_symbolic(ic)
+    gs = groves.enumerate_local_moves(ic)
     assert f == recurrence.f_via_substitution(ic)
-    assert f == groves.grove_sum(groves.enumerate_local_moves(ic))
+    assert f == groves.grove_sum(gs)
     point = {v: Fraction(rng.randint(1, 9), rng.randint(1, 9)) for v in f.variables()}
     assert recurrence.f_numeric(ic, point) == laurent.evaluate(f, point)
+    # The two-term specialization reads a subset of the points the full walk reads.
+    octa = recurrence.f_symbolic(ic, recurrence.MODE_SHIFT_OCTA)
+    assert octa == recurrence.f_via_substitution(ic, recurrence.MODE_SHIFT_OCTA)
+    assert octa == balanced_grove_sum(ic, gs)
+    x_point = {v: x for v, x in point.items() if v[0] == laurent.TAG_X}
+    assert (recurrence.f_numeric(ic, x_point, recurrence.MODE_SHIFT_OCTA)
+            == laurent.evaluate(octa, x_point))
 
 
 @SETTINGS

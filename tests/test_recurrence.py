@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_ic
+from conftest import balanced_grove_sum, random_ic
 from cuberec import groves, lattice, laurent
 from cuberec.laurent import (
     ALPHA,
@@ -28,6 +28,7 @@ from cuberec.recurrence import (
     CustomMode,
     DivisionByZeroDuringRecursion,
     RecursionEscaped,
+    _neighbor_scheme,
     abc_from_edge_vars,
     f_numeric,
     f_symbolic,
@@ -143,7 +144,9 @@ def test_escaped_recursion_raises():
     # (-1,-1,-1) needs (-2,-1,-1), which is neither computed nor initial.
     ic = InitialConditions([(0, 0, 0), (-1, -1, -1)], validate=False)
     remainders = laurent.nonzero_remainder_count
-    for evaluate_origin in (f_symbolic, f_numeric, f_via_substitution):
+    evaluators = (f_symbolic, f_numeric, f_via_substitution, octahedron_check,
+                  lambda ic: f_via_substitution(ic, MODE_SHIFT_OCTA))
+    for evaluate_origin in evaluators:
         with pytest.raises(RecursionEscaped) as err:
             evaluate_origin(ic)
         assert err.value.point == (-2, -1, -1)
@@ -213,8 +216,45 @@ def test_shift_octa_examples():
 def test_octahedron_check():
     for ic in (InitialConditions(()), ONE_STEP, lattice.standard(3), lattice.standard(4)):
         report = octahedron_check(ic)
-        assert report.equal, f"transform mismatch for {ic}"
+        assert report.equal, f"walk and substitution differ for {ic}"
     assert octahedron_check(InitialConditions(())).direct == mono((xvar(0, 0, 0), 1))
+
+
+def test_shift_octa_is_the_octahedron_recurrence():
+    # In (x, y, z) = (i+j, i-k, j-k) the two-term recurrence is the octahedron
+    # recurrence g[x,y,z] g[x-2,y,z] = g[x-1,y-1,z] g[x-1,y+1,z] + g[x-1,y,z-1] g[x-1,y,z+1]
+    # (Speyer): its five neighbours are the walk's first two pairs and its diagonal.
+    def to_lattice(g):
+        x, y, z = g
+        assert (x + y + z) % 2 == 0, g
+        return ((x + y - z) // 2, (x - y + z) // 2, (x - y - z) // 2)
+
+    for w in itertools.product(range(-6, 1), repeat=3):
+        i, j, k = w
+        x, y, z = i + j, i - k, j - k
+        assert to_lattice((x, y, z)) == w
+        g_pairs = (((x - 1, y - 1, z), (x - 1, y + 1, z)),
+                   ((x - 1, y, z - 1), (x - 1, y, z + 1)))
+        pairs, d = _neighbor_scheme(w)
+        assert tuple(tuple(map(to_lattice, pair)) for pair in g_pairs) == pairs[:2], w
+        assert to_lattice((x - 2, y, z)) == d, w
+
+
+def test_two_term_routes_agree_on_random_ideals():
+    # Walk, substitution and balanced groves; f_numeric at a positive point,
+    # where no two-term value vanishes.
+    rng = random.Random(2007)
+    draws = (random_ic(rng, depth=rng.choice((2, 3))) for _ in itertools.count())
+    # Some depth-3 ideals have a million groves.
+    ideals = itertools.islice((ic for ic in draws if 1 < f_numeric(ic) <= 800), 30)
+    for ic in ideals:
+        walk = f_symbolic(ic, MODE_SHIFT_OCTA)
+        assert walk == f_via_substitution(ic, MODE_SHIFT_OCTA), ic
+        assert walk == balanced_grove_sum(ic, groves.enumerate_local_moves(ic)), ic
+        # Every point the walk reads lies within one step of u_fin, inside [-4, 0]^3.
+        point = {xvar(*p): Fraction(rng.randint(1, 9), rng.randint(1, 9))
+                 for p in itertools.product(range(-4, 1), repeat=3)}
+        assert f_numeric(ic, point, MODE_SHIFT_OCTA) == evaluate(walk, point), ic
 
 
 def test_symbolic_modes_reject_numeric_mode():
