@@ -39,9 +39,9 @@ significant; exact division runs over it (``div_exact``).  Keys are decoded
 only where exponents are read out, and ``terms()`` (so ``to_json`` and
 ``__str__``) sorts them canonically, so the JSON bytes do not depend on the
 interning order; ``==`` and ``hash`` do not depend on the width.  Packed
-exponents and heap division follow Monagan and Pearce ("Polynomial division
-using dynamic arrays, heaps, and packed exponent vectors", CASC 2007;
-"Sparse polynomial division using a heap", 2011).
+exponents and division over int order follow Monagan and Pearce ("Polynomial
+division using dynamic arrays, heaps, and packed exponent vectors", CASC
+2007; "Sparse polynomial division using a heap", 2011).
 
 All values are immutable after construction and every operation is pure.
 """
@@ -239,20 +239,26 @@ def _extremes(keys: Iterable[int], w: int) -> tuple[int, int]:
 
     Biased fields are below 2**(w-1), so setting each field's top bit before a
     subtraction leaves that bit set exactly where the field did not go below
-    zero, and no field borrows from the next.
+    zero, and no field borrows from the next.  With 1 more subtracted in
+    every field, the bit is set where the field stayed above zero, so a key
+    that sets no new extreme costs one test each way.
     """
     bias, guards = _masks(w)
     top = w - 1
+    ones = guards >> top
     keys = iter(keys)
     lo = hi = next(keys) + bias
+    hi1, lo1 = hi + ones, (lo | guards) - ones
     for k in keys:
         u = k + bias
-        ge = ((u | guards) - hi) & guards  # top bits of the fields where u >= hi
-        ge -= ge >> top  # those fields' value bits
-        hi ^= (u ^ hi) & ge
-        le = ((lo | guards) - u) & guards
-        le -= le >> top
-        lo ^= (u ^ lo) & le
+        gt = ((u | guards) - hi1) & guards  # top bits of the fields where u > hi
+        if gt:
+            hi ^= (u ^ hi) & (gt - (gt >> top))  # gt's fields' value bits
+            hi1 = hi + ones
+        lt = (lo1 - u) & guards  # where u < lo
+        if lt:
+            lo ^= (u ^ lo) & (lt - (lt >> top))
+            lo1 = (lo | guards) - ones
     return lo - bias, hi - bias
 
 
@@ -494,15 +500,38 @@ def canonical_term_order(exps_keys: Iterable[Exps]) -> list[Exps]:
     return sorted(keys, key=grlex, reverse=True)
 
 
+def _stuck(c: int, k: int, w: int):
+    """Count one division failure and raise it, naming the stuck term."""
+    global nonzero_remainder_count
+    nonzero_remainder_count += 1
+    raise NonzeroRemainder(
+        f"dividend is not an exact multiple (stuck at term {Monomial(c, _exps_of(k, w))})"
+    )
+
+
+def _descending(keys: list[int], side: list[int]) -> Iterator[int]:
+    """Descending keys merged with ``side``, a max-heap of negated keys that may grow meanwhile."""
+    for k in keys:
+        while side and -side[0] > k:
+            yield -heapq.heappop(side)
+        yield k
+    while side:
+        yield -heapq.heappop(side)
+
+
 def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     """Exact division: the q with q*d == p.
 
-    Heap division over the stored keys, in int order: the remainder is a dict
-    from key to coefficient, and a max-heap of its keys gives the leading term
-    (a key whose term cancelled stays on the heap and is skipped when popped).
-    Each quotient term is the remainder's leading key minus the divisor's,
+    A monomial divisor is a unit: every key shifts by its key and every
+    coefficient must divide by its coefficient, as in ``__mul__``.  Otherwise
+    the division runs over the stored keys in int order (Monagan and Pearce).
+    The remainder is a dict from key to coefficient; its leading key is the
+    next of p's keys, sorted once in descending order, or of the keys that
+    products put outside p's support, which only cancellation makes and
+    which wait on a small max-heap.  A key whose term cancelled is skipped
+    when reached.  Each quotient term is the leading key minus the divisor's,
     and its products with the divisor are below the leading term it cancels,
-    so a popped key never returns.
+    so a key once passed never returns.
 
     If q exists, in each variable its exponents lie between p's least minus
     d's least and p's greatest minus d's greatest.  Every quotient term is
@@ -510,36 +539,40 @@ def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     one outside it, or a coefficient that does not divide, raises
     NonzeroRemainder.  The box is finite, so a non-multiple stops within the
     operands' exponents, and since every quotient term lies in it, every
-    remainder key stays within p's fieldwise range and never overflows.
+    remainder key stays within p's fieldwise range and never overflows.  A
+    monomial's quotient lies in that box, so it needs no test.
     """
-    global nonzero_remainder_count
     if d.is_zero():
         raise DivisionByZero("division by the zero polynomial")
     if p.is_zero():
         return LaurentPoly.zero()
 
     w = max(p._w, d._w)
-    R, D = dict(p._at(w)), d._at(w)
+    P, D = p._at(w), d._at(w)
+    if len(D) == 1:
+        ((lt_d, c_d),) = D.items()
+        if c_d != 1 and c_d != -1:
+            bad = [k for k, c in P.items() if c % c_d]
+            if bad:
+                k = max(bad)
+                _stuck(P[k], k, w)
+        # Quotient digits are differences of stored ones, within [-2**(w-1), 2**(w-1)).
+        return _checked({k - lt_d: c // c_d for k, c in P.items()}, w)
+    R = dict(P)
     _, guards = _masks(w)
     p_lo, p_hi = _extremes(R, w)
     d_lo, d_hi = _extremes(D, w)
     lo, hi = p_lo - d_lo, p_hi - d_hi
     (lt_d, c_d), *rest = sorted(D.items(), reverse=True)
-    heap = [-k for k in R]
-    heapq.heapify(heap)
+    side: list[int] = []
     Q: dict[int, int] = {}
-    while heap:
-        lt_r = -heapq.heappop(heap)
+    for lt_r in _descending(sorted(P, reverse=True), side):
         c_r = R.pop(lt_r, 0)
         if not c_r:
             continue
         mono = lt_r - lt_d
         if ((mono - lo) | (hi - mono)) & guards or c_r % c_d != 0:
-            nonzero_remainder_count += 1
-            raise NonzeroRemainder(
-                "dividend is not an exact multiple (stuck at term "
-                f"{Monomial(c_r, _exps_of(lt_r, w))})"
-            )
+            _stuck(c_r, lt_r, w)
         cq = c_r // c_d
         Q[mono] = cq
         for vec, c in rest:
@@ -547,7 +580,8 @@ def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
             s = R.get(k)
             if s is None:
                 R[k] = -cq * c
-                heapq.heappush(heap, -k)
+                if k not in P:
+                    heapq.heappush(side, -k)
             elif s != cq * c:
                 R[k] = s - cq * c
             else:

@@ -39,6 +39,22 @@ def test_compute_abc_prints_the_edge_vars_route_bytes(capsys):
     assert digest == "07ef231cf6bcbd1e64c79e7b603b6db32979b13771adb5ead61bea8ef2c2a6f5"
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("--preset", "standard:5"),
+     "97cbf8547b197c43a2bb0e4eaf4f16ba13648d7e9fd04022e18fcc6c2a73af5a"),
+    (("--preset", "kleber:2,3,2", "--mode", "shift-octa"),
+     "c3811cfb5b751829b31d4d32ea512fdc5f35f3aaaa794d47e49b86487fd999a0"),
+    (("--preset", "gale-robinson:4,1,2,13", "--mode", "abc"),
+     "c38f67aea537313958bb38cc3991515a3f017e4bd650d26f761b5c4937cde3c2"),
+])
+def test_compute_bytes_through_exact_division(capsys, argv, expected):
+    # Each walk divides at every step: all three by monomials, the first two
+    # also by polynomials.  The digests pin the printed bytes.
+    code, out = run(capsys, "compute", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
 def test_compute_shift_octa(capsys):
     code, out = run(capsys, "compute", "--preset", "standard:2", "--mode", "shift-octa")
     assert code == 0
