@@ -17,7 +17,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import NamedTuple
+from functools import cached_property
+from typing import Collection, NamedTuple
 
 from . import groves, lattice, laurent, recurrence, render, sequences
 
@@ -109,15 +110,13 @@ def _set_bits_order(length: int):
     return key
 
 
-def _sorted_groves(gs) -> list[groves.Grove]:
-    """Groves of one ideal, ordered as their sorted long-edge lists.
+def _ranked(masks: Collection[int]) -> list[int]:
+    """Grove masks of one ideal, ordered as the groves' sorted long-edge lists.
 
     The minimal window's rhombi are sorted, so a rhombus's rank is its bit
     index, and the set bits of a mask, lowest first, stand for the sorted list.
     """
-    gs = list(gs)
-    key = _set_bits_order(max((g.mask.bit_length() for g in gs), default=0))
-    return sorted(gs, key=lambda g: key(g.mask))
+    return sorted(masks, key=_set_bits_order(max(masks, default=0).bit_length()))
 
 
 def cmd_compute(args) -> int:
@@ -143,9 +142,10 @@ def cmd_enumerate(args) -> int:
             raise _bad_cutoff(args.cutoff, ic)
         except groves.TooLarge as exc:
             raise _usage_error(f"{exc}; raise --brute-cap or use --method local-moves")
+        masks = {g.mask for g in gs}
     else:
-        gs = groves.enumerate_local_moves(ic)
-    lines = [json.dumps(groves.grove_to_json(g)) for g in _sorted_groves(gs)]
+        masks = groves._local_move_masks(ic)
+    lines = [json.dumps(groves.grove_to_json(groves._grove(ic, m))) for m in _ranked(masks)]
     _emit("\n".join(lines) + "\n" if lines else "", args.out)
     return 0
 
@@ -190,10 +190,10 @@ def _pick_grove(args, ic: lattice.InitialConditions) -> groves.Grove:
         if (violation := groves.check_grove(g)) is not None:
             raise _usage_error(f"bad --grove-file {args.grove_file}: not a grove, {violation}")
         return g
-    gs = _sorted_groves(groves.enumerate_local_moves(ic))
-    if not 0 <= args.grove_index < len(gs):
-        raise _usage_error(f"grove index out of range 0..{len(gs)-1}")
-    return gs[args.grove_index]
+    masks = _ranked(groves._local_move_masks(ic))
+    if not 0 <= args.grove_index < len(masks):
+        raise _usage_error(f"grove index out of range 0..{len(masks)-1}")
+    return groves._grove(ic, masks[args.grove_index])
 
 
 def cmd_render(args) -> int:
@@ -225,16 +225,17 @@ def cmd_render(args) -> int:
 # verify
 #
 # A property returns None when it found no counterexample, a witness string
-# when it found one, or Skipped when it could not run.
+# when it found one, or Skipped when it could not run.  Groves are masks, in
+# enumerate's order, so a witness names the first grove that fails.
 
 class Skipped(NamedTuple):
     reason: str
 
 
 def _prop_main_theorem(ic, ctx):
-    f_sym = ctx["f_sym"]
+    f_sym = ctx.f_sym
     f_sub = recurrence.f_via_substitution(ic)
-    total = groves.grove_sum(ctx["groves"])
+    total = groves.grove_sum(groves._grove(ic, m) for m in ctx.masks)
     if f_sym != f_sub:
         return "symbolic and substitution evaluators disagree"
     if total != f_sym:
@@ -244,36 +245,33 @@ def _prop_main_theorem(ic, ctx):
 
 def _prop_oracle(ic, ctx):
     try:
-        brute = groves.enumerate_bruteforce(ic, cap=ctx["brute_cap"])
+        brute = {g.mask for g in groves.enumerate_bruteforce(ic, cap=ctx.brute_cap)}
     except groves.TooLarge as exc:
         return Skipped(f"{exc} (--brute-cap)")
-    mine = set(ctx["groves"])  # groves compare as masks
+    mine = set(ctx.masks)
     if mine != brute:
-        return f"local moves found {len(mine)} groves, brute force {len(brute)}"
+        m = _ranked(mine ^ brute)[0]
+        return (f"local moves found {len(mine)} groves, brute force {len(brute)}; only "
+                f"{'local moves' if m in mine else 'brute force'} found grove {ctx.named(m)}")
     return None
 
 
-def _named(g) -> str:
-    """g as a --grove-file line, which render grove reads back."""
-    return json.dumps({"long_edges": [[r.axis, *r.top] for r in g.sorted_long_edges()]})
-
-
 def _prop_acyclic(ic, ctx):
-    window = groves._window(ic, ic.min_cutoff)
-    for g in ctx["groves"]:
-        if not window.forest(g.mask):
-            return f"cyclic grove {_named(g)}"
+    window = ctx.window
+    for m in ctx.masks:
+        if not window.forest(m):
+            return f"cyclic grove {ctx.named(m)}"
     return None
 
 
 def _prop_triineq(ic, ctx):
-    window = groves._window(ic, ic.min_cutoff)
-    for g in ctx["groves"]:
-        a, b, c = window.axis_counts(g.mask)
+    window = ctx.window
+    for m in ctx.masks:
+        a, b, c = window.axis_counts(m)
         if a + b < c or b + c < a or c + a < b or (a + b + c) % 2:
-            return f"axis counts ({a},{b},{c}) break the parity law in grove {_named(g)}"
+            return f"axis counts ({a},{b},{c}) break the parity law in grove {ctx.named(m)}"
     try:
-        recurrence.abc_from_edge_vars(ctx["f_sym"])
+        recurrence.abc_from_edge_vars(ctx.f_sym)
     except recurrence.HalfIntegerExponent as exc:
         return str(exc)
     return None
@@ -289,33 +287,32 @@ def _prop_coeffone(ic, ctx):
     no grove is built.  A grove breaking the law would break it there too.
     ``acyclic``, ``degrees`` and ``simplified`` check the groves themselves.
     """
-    bad = [c for c in ctx["f_sym"].coefficients() if c != 1]
+    bad = [c for c in ctx.f_sym.coefficients() if c != 1]
     if bad:
         return f"non-unit coefficients {bad[:5]}"
-    return groves._window(ic, ic.min_cutoff).quadrant_fault
+    return ctx.window.quadrant_fault
 
 
 def _prop_degrees(ic, ctx):
-    rng = ctx["f_sym"].exponent_range(laurent.TAG_X)
+    rng = ctx.f_sym.exponent_range(laurent.TAG_X)
     if rng and (rng[0] < -1 or rng[1] > 4):
         return f"lattice-variable exponents {rng} outside [-1, 4]"
-    window = groves._window(ic, ic.min_cutoff)
-    for g in ctx["groves"]:
-        if not window.degrees_within(window.degree_vector(g.mask), 1, 6):
-            degs = window.degree_bytes(g.mask)
+    window = ctx.window
+    for m in ctx.masks:
+        if not window.degrees_within(window.degree_vector(m), 1, 6):
+            degs = window.degree_bytes(m)
             return (f"vertex degree range [{min(degs)},{max(degs)}] outside [1, 6] "
-                    f"in grove {_named(g)}")
+                    f"in grove {ctx.named(m)}")
     return None
 
 
 def _prop_injectivity(ic, ctx):
-    window = groves._window(ic, ic.min_cutoff)
-    seen = {}
-    for g in ctx["groves"]:
-        key = window.degree_vector(g.mask)
+    window, seen = ctx.window, {}
+    for m in ctx.masks:
+        key = window.degree_vector(m)
         if key in seen:
-            return f"groves {_named(seen[key])} and {_named(g)} share a degree table"
-        seen[key] = g
+            return f"groves {ctx.named(seen[key])} and {ctx.named(m)} share a degree table"
+        seen[key] = m
     return None
 
 
@@ -345,10 +342,10 @@ def _prop_simplified(ic, ctx):
         u = even_bit[edges[t]].bit_length() - 1
         return f"rhombi {window.rhombi[t]} and {window.rhombi[u]} share the even edge {edges[t]}"
     want = (3 * N + 5) // 2
-    for g in ctx["groves"]:
-        c = window.even_components(g.mask)
+    for m in ctx.masks:
+        c = window.even_components(m)
         if c != want:
-            return f"simplified grove has {c} components, expected {want}, in grove {_named(g)}"
+            return f"simplified grove has {c} components, expected {want}, in grove {ctx.named(m)}"
     return None
 
 
@@ -363,14 +360,14 @@ def _prop_octahedron(ic, ctx):
     if not report.equal:
         return "substitution disagrees with the walk in shift-octa mode"
 
-    window = groves._window(ic, ic.min_cutoff)
+    window = ctx.window
 
-    def balanced(g):
-        a, b, c = window.axis_counts(g.mask)
+    def balanced(m):
+        a, b, c = window.axis_counts(m)
         return a + b == c
 
     filtered = laurent.drop_variables(
-        groves.grove_sum(filter(balanced, ctx["groves"])),
+        groves.grove_sum(groves._grove(ic, m) for m in ctx.masks if balanced(m)),
         (laurent.TAG_A, laurent.TAG_B, laurent.TAG_C),
     )
     if filtered != report.direct:
@@ -392,22 +389,29 @@ PROPERTIES = {
 }
 
 
-class _VerifyContext(dict):
-    """What the properties share about one ic; each entry is built on first use."""
+class _VerifyContext:
+    """What the properties share about one ic; masks and f_sym are built on first use."""
 
     def __init__(self, ic, brute_cap: int):
-        super().__init__(brute_cap=brute_cap)
-        self.ic = ic
+        self.ic, self.brute_cap = ic, brute_cap
 
-    def __missing__(self, key):
-        if key == "f_sym":
-            value = recurrence.f_symbolic(self.ic)
-        elif key == "groves":
-            value = _sorted_groves(groves.enumerate_local_moves(self.ic))
-        else:
-            raise KeyError(key)
-        self[key] = value
-        return value
+    @cached_property
+    def masks(self) -> list[int]:
+        """Every grove's mask, in enumerate's order."""
+        return _ranked(groves._local_move_masks(self.ic))
+
+    @cached_property
+    def f_sym(self) -> laurent.LaurentPoly:
+        return recurrence.f_symbolic(self.ic)
+
+    @property
+    def window(self):  # groves._window keeps it per ideal
+        return groves._window(self.ic, self.ic.min_cutoff)
+
+    def named(self, mask: int) -> str:
+        """The grove of mask as a --grove-file line, which render grove reads back."""
+        edges = groves._at_bits(self.window.rhombi, mask)
+        return json.dumps({"long_edges": [[r.axis, *r.top] for r in edges]})
 
 
 def cmd_verify(args) -> int:
@@ -425,13 +429,9 @@ def cmd_verify(args) -> int:
             skipped = isinstance(outcome, Skipped)
             witness = None if skipped else outcome
             ok = ok and witness is None
-            result = {
-                "property": name,
-                "ic": lattice.to_json(ic),
-                "status": "skipped" if skipped else "pass" if witness is None else "fail",
-                "pass": witness is None,
-                "witness": witness,
-            }
+            result = {"property": name, "ic": lattice.to_json(ic),
+                      "status": "skipped" if skipped else "pass" if witness is None else "fail",
+                      "pass": witness is None, "witness": witness}
             if skipped:
                 result["reason"] = outcome.reason
             results.append(result)

@@ -69,22 +69,48 @@ def test_enumerate_lines(capsys):
     assert all(set(obj) == {"long_edges", "n", "degrees"} for obj in lines)
 
 
-def test_enumerate_bruteforce_matches(capsys):
-    _, brute = run(capsys, "enumerate", "--preset", "standard:3", "--method", "brute-force")
-    _, local = run(capsys, "enumerate", "--preset", "standard:3")
-    assert brute == local
+def _ic_file(tmp_path, ic, name="ic.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(lattice.to_json(ic)))
+    return str(path)
+
+
+def test_enumerate_bruteforce_matches(tmp_path, capsys):
+    rng = random.Random(1515)
+    sources = [["--preset", "standard:3"]]
+    sources += [["--ic-file", _ic_file(tmp_path, random_ic(rng, depth=1), f"ic{i}.json")]
+                for i in range(4)]
+    for source in sources:
+        _, brute = run(capsys, "enumerate", *source, "--method", "brute-force",
+                       "--brute-cap", "80")
+        _, local = run(capsys, "enumerate", *source)
+        assert brute == local, source
+
+
+def test_render_grove_index_draws_the_grove_on_that_enumerate_line(tmp_path, capsys):
+    grove_file = tmp_path / "grove.jsonl"
+    ic = _ic_file(tmp_path, random_ic(random.Random(2121)))
+    for source in (["--preset", "standard:4"], ["--ic-file", ic]):
+        _, out = run(capsys, "enumerate", *source)
+        lines = out.splitlines()
+        assert len(lines) > 50
+        for i in (0, 1, 17, len(lines) // 2, len(lines) - 1):
+            grove_file.write_text(lines[i] + "\n")
+            _, by_index = run(capsys, "render", "grove", *source, "--grove-index", str(i))
+            _, by_file = run(capsys, "render", "grove", *source, "--grove-file", str(grove_file))
+            assert "<svg" in by_index and by_index == by_file, (source, i)
 
 
 def test_sorted_groves_follow_the_sorted_long_edges():
-    # The CLI sorts by ranks read from the masks; the order must be that of
-    # the groves' sorted long-edge lists, which fixes the output bytes.
+    # The CLI ranks masks by their set bits; the order must be that of the
+    # groves' sorted long-edge lists, which fixes the output bytes.
     def by_rhombi(gs):
         return sorted(gs, key=lambda g: tuple(g.sorted_long_edges()))
 
     rng = random.Random(1131)
     for _ in range(10):
         gs = groves.enumerate_local_moves(random_ic(rng, depth=1, boxes=4))
-        assert cli._sorted_groves(gs) == by_rhombi(gs)
+        assert cli._ranked({g.mask for g in gs}) == [g.mask for g in by_rhombi(gs)]
 
 
 def test_set_bits_order_is_the_order_of_the_set_bit_lists():
@@ -142,8 +168,15 @@ def test_verify_builds_only_what_the_properties_read(monkeypatch, capsys):
     def unneeded(*args, **kwargs):
         raise AssertionError("a property built what it does not read")
 
-    # coeffone reads the polynomial and the window, no grove.
+    # The per-grove properties read masks; none builds a Grove.
     monkeypatch.setattr(groves, "enumerate_local_moves", unneeded)
+    monkeypatch.setattr(groves, "_grove", unneeded)
+    monkeypatch.setattr(groves.Grove, "__init__", unneeded)
+    code, out = run(capsys, "verify", "--preset", "standard:3",
+                    "--props", "acyclic,triineq,degrees,injectivity,simplified")
+    assert code == 0 and json.loads(out)["pass"] is True
+    # coeffone reads the polynomial and the window, no grove.
+    monkeypatch.setattr(groves, "_local_move_masks", unneeded)
     code, out = run(capsys, "verify", "--preset", "standard:3", "--props", "coeffone")
     assert code == 0 and json.loads(out)["pass"] is True
     # rhombcount reads neither the polynomial nor the groves.
@@ -332,6 +365,11 @@ def _decoded_forest(ic, N, long_edges, keep=lambda edge: True):
     return find, cyclic
 
 
+def _line(g):
+    """g as a --grove-file line, decoded through the Grove."""
+    return json.dumps({"long_edges": [[r.axis, *r.top] for r in g.sorted_long_edges()]})
+
+
 def _even_components_off(ic, g):
     N = ic.min_odd_cutoff
     find, _ = _decoded_forest(ic, N, g.long_edges, lambda edge: sum(edge[0]) % 2 == 0)
@@ -367,7 +405,7 @@ def test_grove_properties_fail_exactly_when_their_references_do():
     failed = dict.fromkeys(REFERENCES, 0)
     for ic in ics:
         ctx = cli._VerifyContext(ic, 18)
-        ctx["f_sym"] = laurent.LaurentPoly.constant(1)  # passes the polynomial's own checks
+        ctx.f_sym = laurent.LaurentPoly.constant(1)  # passes the polynomial's own checks
         n = len(groves._window(ic, ic.min_cutoff).rhombi)
         masks = sorted(g.mask for g in groves.enumerate_local_moves(ic))
         for mask in rng.sample(masks, min(len(masks), 6)):
@@ -375,11 +413,11 @@ def test_grove_properties_fail_exactly_when_their_references_do():
             flips += [1 << rng.randrange(n) | 1 << rng.randrange(n) for _ in range(4)]
             for flip in flips:
                 g = groves._grove(ic, mask ^ flip)
-                ctx["groves"] = [g]
+                ctx.masks = [mask ^ flip]
                 for name, reference in REFERENCES.items():
                     witness = cli.PROPERTIES[name](ic, ctx)
                     assert (witness is not None) == reference(ic, g), (name, ic, g)
-                    assert witness is None or cli._named(g) in witness
+                    assert witness is None or _line(g) in witness
                     failed[name] += witness is not None
                 # The simplified grove sees only the even edges, so it may
                 # miss a fault of the whole graph, but never reports one it lacks.
@@ -390,15 +428,40 @@ def test_grove_properties_fail_exactly_when_their_references_do():
 
 def test_injectivity_names_both_groves_of_a_repeat():
     ic = lattice.standard(3)
-    gs = cli._sorted_groves(groves.enumerate_local_moves(ic))
     ctx = cli._VerifyContext(ic, 18)
-    ctx["groves"] = gs
     assert cli.PROPERTIES["injectivity"](ic, ctx) is None
-    ctx["groves"] = gs + [gs[4]]
+    masks = ctx.masks
+    ctx.masks = masks + [masks[4]]
     witness = cli.PROPERTIES["injectivity"](ic, ctx)
-    line = cli._named(gs[4])
+    line = _line(groves._grove(ic, masks[4]))
     assert witness == f"groves {line} and {line} share a degree table"
-    assert groves.grove_from_json(ic, json.loads(line)) == gs[4]
+    assert groves.grove_from_json(ic, json.loads(line)) == groves._grove(ic, masks[4])
+
+
+def test_oracle_witness_names_a_grove_only_one_route_found():
+    # Flip bit 0 of one local-move mask, drop one, or add one: the witness
+    # names the least mask of the symmetric difference, in the groves' sorted
+    # long-edge order, and the route that found it.
+    ic = lattice.standard(3)
+    ctx = cli._VerifyContext(ic, 18)
+    assert cli.PROPERTIES["oracle"](ic, ctx) is None
+    masks, brute = ctx.masks, len(groves.enumerate_bruteforce(ic))
+    corrupted = [masks[:i] + [masks[i] ^ 1] + masks[i + 1:] for i in range(len(masks))]
+    corrupted += [masks[1:], masks[:-1], masks + [masks[-1] ^ 1]]
+    routes = set()
+    for bad in corrupted:
+        ctx.masks = bad
+        least = min(set(bad) ^ set(masks), key=lambda m: groves._grove(ic, m).sorted_long_edges())
+        route = "local moves" if least in bad else "brute force"
+        witness = cli.PROPERTIES["oracle"](ic, ctx)
+        head = (f"local moves found {len(set(bad))} groves, brute force {brute}; "
+                f"only {route} found grove ")
+        assert witness.startswith(head), witness
+        line = witness[len(head):]
+        assert line == _line(groves._grove(ic, least))
+        assert groves.grove_from_json(ic, json.loads(line)).mask == least
+        routes.add(route)
+    assert routes == {"local moves", "brute force"}
 
 
 def test_coeffone_witness_names_the_rhombi(monkeypatch):

@@ -399,7 +399,8 @@ def test_json_bytes_and_pickles_do_not_depend_on_interning_order():
     src = str(Path(laurent.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     pickled = pickle.dumps(p).hex()
-    for order in (names[::-1], names):
+    unrelated = [var_name(laurent.yvar(m)) for m in range(2000)]
+    for order in (names[::-1], names, unrelated + names):
         out = subprocess.run([sys.executable, "-c", script, json.dumps(order), pickled],
                              env=env, capture_output=True, text=True, check=True)
         assert out.stdout.strip() == expected
