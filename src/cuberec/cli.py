@@ -18,7 +18,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cached_property
-from typing import Collection, NamedTuple
+from typing import Collection, Iterable, NamedTuple
 
 from . import groves, lattice, laurent, recurrence, render, sequences
 
@@ -41,11 +41,10 @@ def _parse_preset(spec: str) -> lattice.InitialConditions:
     )
 
 
-def _add_ic_args(sub: argparse.ArgumentParser, multiple: bool = False) -> None:
-    action = "append" if multiple else "store"
-    sub.add_argument("--preset", type=_parse_preset, action=action,
+def _add_ic_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--preset", type=_parse_preset, action="append",
                      help="standard:N | kleber:I,J,K | gale-robinson:P,Q,R,L")
-    sub.add_argument("--ic-file", action=action,
+    sub.add_argument("--ic-file", action="append",
                      help="path to an initial-conditions JSON file")
 
 
@@ -61,14 +60,9 @@ def _bad_cutoff(N: int, ic: lattice.InitialConditions) -> SystemExit:
     )
 
 
-def _load_ics(args, multiple: bool = False) -> list[lattice.InitialConditions]:
-    if not multiple and args.preset is not None and args.ic_file is not None:
-        raise _usage_error("give --preset or --ic-file, not both")
-    ics = []
-    presets = args.preset if multiple else ([args.preset] if args.preset else [])
-    files = args.ic_file if multiple else ([args.ic_file] if args.ic_file else [])
-    ics.extend(p for p in (presets or []) if p is not None)
-    for path in files or []:
+def _load_ics(args) -> list[lattice.InitialConditions]:
+    ics = list(args.preset or [])
+    for path in args.ic_file or []:
         try:
             with open(path) as fh:
                 ics.append(lattice.from_json(json.load(fh)))
@@ -79,54 +73,50 @@ def _load_ics(args, multiple: bool = False) -> list[lattice.InitialConditions]:
     return ics
 
 
+def _load_ic(args) -> lattice.InitialConditions:  # for compute, enumerate and render
+    ics = _load_ics(args)
+    if len(ics) > 1:
+        raise _usage_error(f"{args.command} takes one --preset or --ic-file, not {len(ics)}")
+    return ics[0]
+
+
 def _check_brute_cap(args) -> None:
     if args.brute_cap < 0:
         raise _usage_error(f"--brute-cap must be >= 0, not {args.brute_cap}")
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks: Iterable[str], out: str | None) -> None:
+    """Write chunks, each as it is made, to --out or stdout."""
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise _usage_error(f"cannot write --out {out}: {exc}")
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
-def _set_bits_order(length: int):
-    """A key that orders masks below 1 << length as the lists of their set bits, lowest first.
+_FLIP = str.maketrans("01", "10")
 
-    At the lowest bit where two masks differ, the one that has it set sorts
-    first exactly when the other has a bit above it.  So the clear bits below
-    each mask's highest (its gaps) decide, read from bit 0 up: the gaps
-    bit-reversed over length bits, then the bit count for a mask that only
-    extends the other by a run of set bits.
+
+def _grove_order(mask: int) -> str:
+    """A key that orders masks as the lists of their set bits, lowest first: enumerate's order.
+
+    Bit 0 up to the highest set bit, "0" for a set bit and "1" for a clear
+    one.  At the first difference the list with the lesser bit has "0"; a
+    list that extends another has a key that extends the other's.
     """
-    def key(m: int) -> tuple[int, int]:
-        gaps = ~m & ((1 << m.bit_length()) - 1)
-        return int(f"{gaps:0{length}b}"[::-1], 2), m.bit_count()
-    return key
-
-
-def _ranked(masks: Collection[int]) -> list[int]:
-    """Grove masks of one ideal, ordered as the groves' sorted long-edge lists.
-
-    The minimal window's rhombi are sorted, so a rhombus's rank is its bit
-    index, and the set bits of a mask, lowest first, stand for the sorted list.
-    """
-    return sorted(masks, key=_set_bits_order(max(masks, default=0).bit_length()))
+    return bin(mask)[:1:-1].translate(_FLIP) if mask else ""
 
 
 def cmd_compute(args) -> int:
-    ic = _load_ics(args)[0]
+    ic = _load_ic(args)
     if args.mode == "all-ones":
-        value = recurrence.f_numeric(ic)
-        _emit(str(value) + "\n", args.out)
+        _emit([str(recurrence.f_numeric(ic)) + "\n"], args.out)
         return 0
     poly = recurrence.f_symbolic(ic, args.mode)
-    _emit(json.dumps(laurent.to_json(poly)) + "\n", args.out)
+    _emit([json.dumps(laurent.to_json(poly)) + "\n"], args.out)
     return 0
 
 
@@ -134,7 +124,7 @@ def cmd_enumerate(args) -> int:
     if args.cutoff is not None and args.method != "brute-force":
         raise _usage_error("--cutoff applies only to --method brute-force")
     _check_brute_cap(args)
-    ic = _load_ics(args)[0]
+    ic = _load_ic(args)
     if args.method == "brute-force":
         try:
             gs = groves.enumerate_bruteforce(ic, N=args.cutoff, cap=args.brute_cap)
@@ -145,8 +135,9 @@ def cmd_enumerate(args) -> int:
         masks = {g.mask for g in gs}
     else:
         masks = groves._local_move_masks(ic)
-    lines = [json.dumps(groves.grove_to_json(groves._grove(ic, m))) for m in _ranked(masks)]
-    _emit("\n".join(lines) + "\n" if lines else "", args.out)
+    # sorted runs here, before _emit opens --out; each line is made as it is written.
+    _emit((json.dumps(groves.grove_to_json(groves._grove(ic, m))) + "\n"
+           for m in sorted(masks, key=_grove_order)), args.out)
     return 0
 
 
@@ -176,7 +167,7 @@ def cmd_sequence(args) -> int:
             certs.append({"l": cert.l, "recursion": str(cert.recursion_value),
                           "groves": cert.grove_count, "match": cert.count_match})
         report["certificates"] = certs
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit([json.dumps(report, indent=2) + "\n"], args.out)
     return 0 if ok else 1
 
 
@@ -190,7 +181,7 @@ def _pick_grove(args, ic: lattice.InitialConditions) -> groves.Grove:
         if (violation := groves.check_grove(g)) is not None:
             raise _usage_error(f"bad --grove-file {args.grove_file}: not a grove, {violation}")
         return g
-    masks = _ranked(groves._local_move_masks(ic))
+    masks = sorted(groves._local_move_masks(ic), key=_grove_order)
     if not 0 <= args.grove_index < len(masks):
         raise _usage_error(f"grove index out of range 0..{len(masks)-1}")
     return groves._grove(ic, masks[args.grove_index])
@@ -202,7 +193,7 @@ def cmd_render(args) -> int:
         opts = render.RenderOptions(scale=args.scale, layers=layers, N=args.cutoff)
     except ValueError as exc:
         raise _usage_error(f"render: {exc}")
-    ic = _load_ics(args)[0]
+    ic = _load_ic(args)
     try:
         if args.target == "lattice":
             doc = render.render_lattice(ic, opts)
@@ -217,7 +208,7 @@ def cmd_render(args) -> int:
             doc = render.render_asm(triangle, opts)
     except lattice.NotACutoff:
         raise _bad_cutoff(args.cutoff, ic)
-    _emit(doc, args.out)
+    _emit([doc], args.out)
     return 0
 
 
@@ -226,7 +217,8 @@ def cmd_render(args) -> int:
 #
 # A property returns None when it found no counterexample, a witness string
 # when it found one, or Skipped when it could not run.  Groves are masks, in
-# enumerate's order, so a witness names the first grove that fails.
+# no order.  A witness names the first failing grove in enumerate's order
+# (_grove_order), so only a failing run sorts, and only the masks that fail.
 
 class Skipped(NamedTuple):
     reason: str
@@ -250,7 +242,7 @@ def _prop_oracle(ic, ctx):
         return Skipped(f"{exc} (--brute-cap)")
     mine = set(ctx.masks)
     if mine != brute:
-        m = _ranked(mine ^ brute)[0]
+        m = min(mine ^ brute, key=_grove_order)
         return (f"local moves found {len(mine)} groves, brute force {len(brute)}; only "
                 f"{'local moves' if m in mine else 'brute force'} found grove {ctx.named(m)}")
     return None
@@ -258,18 +250,21 @@ def _prop_oracle(ic, ctx):
 
 def _prop_acyclic(ic, ctx):
     window = ctx.window
-    for m in ctx.masks:
-        if not window.forest(m):
-            return f"cyclic grove {ctx.named(m)}"
-    return None
+    m = ctx.first(lambda m: not window.forest(m))
+    return None if m is None else f"cyclic grove {ctx.named(m)}"
 
 
 def _prop_triineq(ic, ctx):
     window = ctx.window
-    for m in ctx.masks:
+
+    def broken(m):
         a, b, c = window.axis_counts(m)
-        if a + b < c or b + c < a or c + a < b or (a + b + c) % 2:
-            return f"axis counts ({a},{b},{c}) break the parity law in grove {ctx.named(m)}"
+        return a + b < c or b + c < a or c + a < b or (a + b + c) % 2
+
+    m = ctx.first(broken)
+    if m is not None:
+        return ("axis counts (%d,%d,%d) break the parity law in grove " % window.axis_counts(m)
+                + ctx.named(m))
     try:
         recurrence.abc_from_edge_vars(ctx.f_sym)
     except recurrence.HalfIntegerExponent as exc:
@@ -298,17 +293,19 @@ def _prop_degrees(ic, ctx):
     if rng and (rng[0] < -1 or rng[1] > 4):
         return f"lattice-variable exponents {rng} outside [-1, 4]"
     window = ctx.window
-    for m in ctx.masks:
-        if not window.degrees_within(window.degree_vector(m), 1, 6):
-            degs = window.degree_bytes(m)
-            return (f"vertex degree range [{min(degs)},{max(degs)}] outside [1, 6] "
-                    f"in grove {ctx.named(m)}")
-    return None
+    m = ctx.first(lambda m: not window.degrees_within(window.degree_vector(m), 1, 6))
+    if m is None:
+        return None
+    degs = window.degree_bytes(m)
+    return f"vertex degree range [{min(degs)},{max(degs)}] outside [1, 6] in grove {ctx.named(m)}"
 
 
 def _prop_injectivity(ic, ctx):
-    window, seen = ctx.window, {}
-    for m in ctx.masks:
+    """No two groves share a degree table; on a repeat, the least pair in enumerate's order."""
+    window, masks, seen = ctx.window, ctx.masks, {}
+    if len(set(map(window.degree_vector, masks))) == len(masks):
+        return None
+    for m in sorted(masks, key=_grove_order):
         key = window.degree_vector(m)
         if key in seen:
             return f"groves {ctx.named(seen[key])} and {ctx.named(m)} share a degree table"
@@ -342,11 +339,11 @@ def _prop_simplified(ic, ctx):
         u = even_bit[edges[t]].bit_length() - 1
         return f"rhombi {window.rhombi[t]} and {window.rhombi[u]} share the even edge {edges[t]}"
     want = (3 * N + 5) // 2
-    for m in ctx.masks:
-        c = window.even_components(m)
-        if c != want:
-            return f"simplified grove has {c} components, expected {want}, in grove {ctx.named(m)}"
-    return None
+    m = ctx.first(lambda m: window.even_components(m) != want)
+    if m is None:
+        return None
+    return (f"simplified grove has {window.even_components(m)} components, expected {want}, "
+            f"in grove {ctx.named(m)}")
 
 
 def _prop_octahedron(ic, ctx):
@@ -396,9 +393,9 @@ class _VerifyContext:
         self.ic, self.brute_cap = ic, brute_cap
 
     @cached_property
-    def masks(self) -> list[int]:
-        """Every grove's mask, in enumerate's order."""
-        return _ranked(groves._local_move_masks(self.ic))
+    def masks(self) -> Collection[int]:
+        """Every grove's mask, in no order."""
+        return groves._local_move_masks(self.ic)
 
     @cached_property
     def f_sym(self) -> laurent.LaurentPoly:
@@ -407,6 +404,10 @@ class _VerifyContext:
     @property
     def window(self):  # groves._window keeps it per ideal
         return groves._window(self.ic, self.ic.min_cutoff)
+
+    def first(self, fails) -> int | None:
+        """The first mask in enumerate's order for which fails is true; None if none is."""
+        return min(filter(fails, self.masks), key=_grove_order, default=None)
 
     def named(self, mask: int) -> str:
         """The grove of mask as a --grove-file line, which render grove reads back."""
@@ -422,7 +423,7 @@ def cmd_verify(args) -> int:
     _check_brute_cap(args)
     results = []
     ok = True
-    for ic in _load_ics(args, multiple=True):
+    for ic in _load_ics(args):
         ctx = _VerifyContext(ic, args.brute_cap)
         for name in props:
             outcome = PROPERTIES[name](ic, ctx)
@@ -435,7 +436,7 @@ def cmd_verify(args) -> int:
             if skipped:
                 result["reason"] = outcome.reason
             results.append(result)
-    _emit(json.dumps({"pass": ok, "results": results}, indent=2) + "\n", args.out)
+    _emit([json.dumps({"pass": ok, "results": results}, indent=2) + "\n"], args.out)
     return 0 if ok else 1
 
 
@@ -461,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--out")
 
     sub = subs.add_parser("verify", help="run property suites")
-    _add_ic_args(sub, multiple=True)
+    _add_ic_args(sub)
     sub.add_argument("--props", default=None,
                      help="comma-separated subset of: " + ",".join(PROPERTIES))
     sub.add_argument("--brute-cap", type=int, default=18)

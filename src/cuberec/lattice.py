@@ -4,9 +4,8 @@ An initial-conditions object stores ``u_fin``, the finite part of the upper
 set inside the lower cone of the origin (all coordinates <= 0).  Everything
 else is derived from it:
 
-    in_L(p)   p lies in the order ideal (in the cone, not in u_fin)
-    in_U(p)   complement of the ideal
-    in_I(p)   p is an initial point: in_L(p) and in_U(p + (1,1,1))
+    in_I(p)   p is an initial point: p lies in the order ideal (in the cone,
+              not in u_fin) and p + (1,1,1) does not
 
 The two stored invariants are that u_fin sits inside the cone and that it is
 upward closed within the cone.  A cutoff N bounds the region where the
@@ -185,15 +184,9 @@ class InitialConditions:
                 if self.in_cone(w) and w not in self.u_fin:
                     raise NotUpwardClosed(p, w)
 
-    def in_L(self, p: Point3) -> bool:
-        return self.in_cone(p) and p not in self.u_fin
-
-    def in_U(self, p: Point3) -> bool:
-        return not self.in_L(p)
-
     def in_I(self, p: Point3) -> bool:
-        # in_L(p) and in_U(p + (1,1,1)), inline: p + (1,1,1) leaves the cone
-        # exactly when a coordinate of p is 0.
+        # p + (1,1,1) leaves the cone, and so the ideal, exactly when a
+        # coordinate of p is 0.
         i, j, k = p
         if i > 0 or j > 0 or k > 0 or p in self.u_fin:
             return False

@@ -1,8 +1,10 @@
 """Command-line surface: outputs, formats, and exit codes."""
 
 import hashlib
+import io
 import json
 import random
+import sys
 
 import pytest
 
@@ -62,6 +64,34 @@ def test_compute_shift_octa(capsys):
     assert len(poly) == 2
 
 
+@pytest.mark.parametrize("preset, expected", [
+    ("standard:5", "db37a4072c1699dd3d35f3b2d6c1a2268321a7c34bdd49eb9e036bf3cf2674ed"),
+    ("kleber:2,3,2", "8652067bf5c783f58c09524045bb8b3683243711d534dbeb15c6ddc211c3e946"),
+    ("gale-robinson:4,1,2,12", "2afee6dad00f21bac185f584e14a83c011f05ed401780dc13f1af8592452fe6e"),
+])
+def test_enumerate_bytes(capsys, preset, expected):
+    # The digests pin the lines and their order.
+    code, out = run(capsys, "enumerate", "--preset", preset)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_enumerate_writes_each_line_as_it_is_made(monkeypatch):
+    converted, at_write = [], []
+    grove_to_json = groves.grove_to_json
+    monkeypatch.setattr(groves, "grove_to_json", lambda g: converted.append(g) or grove_to_json(g))
+
+    class Recording(io.StringIO):
+        def write(self, s):
+            at_write.append(len(converted))
+            return super().write(s)
+
+    out = Recording()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["enumerate", "--preset", "standard:4"]) == 0
+    assert at_write == list(range(1, 82)) and out.getvalue().count("\n") == 81
+
+
 def test_enumerate_lines(capsys):
     code, out = run(capsys, "enumerate", "--preset", "standard:3")
     lines = [json.loads(s) for s in out.strip().splitlines()]
@@ -110,21 +140,25 @@ def test_sorted_groves_follow_the_sorted_long_edges():
     rng = random.Random(1131)
     for _ in range(10):
         gs = groves.enumerate_local_moves(random_ic(rng, depth=1, boxes=4))
-        assert cli._ranked({g.mask for g in gs}) == [g.mask for g in by_rhombi(gs)]
+        masks = {g.mask for g in gs}
+        assert sorted(masks, key=cli._grove_order) == [g.mask for g in by_rhombi(gs)]
 
 
 def test_set_bits_order_is_the_order_of_the_set_bit_lists():
+    # _grove_order needs no mask length: masks of every length sort together.
     def set_bits(m):
         return [t for t in range(m.bit_length()) if m >> t & 1]
 
     rng = random.Random(1616)
     prefixes = [0, 0b1, 0b11, 0b100001, 0b111, 0b1011, 0b101, 0b10, 1 << 199, (1 << 200) - 1]
+    everything = []
     for length in (1, 2, 3, 7, 64, 200):
         masks = [m for m in prefixes if m.bit_length() <= length]
         masks += [rng.getrandbits(rng.randint(1, length)) for _ in range(300)]
         masks += [m & ~(1 << rng.randrange(length)) for m in masks[:100]]  # shared prefixes
-        key = cli._set_bits_order(length)
-        assert sorted(masks, key=key) == sorted(masks, key=set_bits), length
+        assert sorted(masks, key=cli._grove_order) == sorted(masks, key=set_bits), length
+        everything += masks
+    assert sorted(everything, key=cli._grove_order) == sorted(everything, key=set_bits)
 
 
 def test_verify_passes(capsys):
@@ -261,6 +295,8 @@ def test_library_usage_errors_exit_2_with_one_line(tmp_path, capsys):
     ic_file = tmp_path / "standard3.json"
     ic_file.write_text(json.dumps(lattice.to_json(lattice.standard(3))))
     both = ["--preset", "standard:2", "--ic-file", str(ic_file)]
+    two_presets = ["--preset", "standard:2", "--preset", "standard:3"]
+    two_files = ["--ic-file", str(ic_file), "--ic-file", str(ic_file)]
     # Long edges inside standard:3 that split a boundary class between components.
     not_a_grove = tmp_path / "not-a-grove.jsonl"
     not_a_grove.write_text(json.dumps(
@@ -269,6 +305,12 @@ def test_library_usage_errors_exit_2_with_one_line(tmp_path, capsys):
         "compute-preset-and-ic-file": ["compute", *both, "--mode", "all-ones"],
         "enumerate-preset-and-ic-file": ["enumerate", *both],
         "render-preset-and-ic-file": ["render", "lattice", *both],
+        "compute-two-presets": ["compute", *two_presets, "--mode", "all-ones"],
+        "enumerate-two-presets": ["enumerate", *two_presets],
+        "render-two-presets": ["render", "lattice", *two_presets],
+        "compute-two-ic-files": ["compute", *two_files, "--mode", "all-ones"],
+        "enumerate-two-ic-files": ["enumerate", *two_files],
+        "render-two-ic-files": ["render", "lattice", *two_files],
         "verify-negative-brute-cap": ["verify", "--preset", "standard:2", "--brute-cap", "-1"],
         "enumerate-negative-brute-cap": ["enumerate", "--preset", "standard:2",
                                          "--method", "brute-force", "--brute-cap", "-1"],
@@ -430,7 +472,7 @@ def test_injectivity_names_both_groves_of_a_repeat():
     ic = lattice.standard(3)
     ctx = cli._VerifyContext(ic, 18)
     assert cli.PROPERTIES["injectivity"](ic, ctx) is None
-    masks = ctx.masks
+    masks = sorted(ctx.masks, key=cli._grove_order)
     ctx.masks = masks + [masks[4]]
     witness = cli.PROPERTIES["injectivity"](ic, ctx)
     line = _line(groves._grove(ic, masks[4]))
@@ -445,7 +487,8 @@ def test_oracle_witness_names_a_grove_only_one_route_found():
     ic = lattice.standard(3)
     ctx = cli._VerifyContext(ic, 18)
     assert cli.PROPERTIES["oracle"](ic, ctx) is None
-    masks, brute = ctx.masks, len(groves.enumerate_bruteforce(ic))
+    masks = sorted(ctx.masks, key=cli._grove_order)
+    brute = len(groves.enumerate_bruteforce(ic))
     corrupted = [masks[:i] + [masks[i] ^ 1] + masks[i + 1:] for i in range(len(masks))]
     corrupted += [masks[1:], masks[:-1], masks + [masks[-1] ^ 1]]
     routes = set()
@@ -462,6 +505,68 @@ def test_oracle_witness_names_a_grove_only_one_route_found():
         assert groves.grove_from_json(ic, json.loads(line)).mask == least
         routes.add(route)
     assert routes == {"local moves", "brute force"}
+
+
+def test_a_passing_verify_never_orders_the_groves(monkeypatch, tmp_path, capsys):
+    def unneeded(mask):
+        raise AssertionError("a passing property ordered the groves")
+
+    monkeypatch.setattr(cli, "_grove_order", unneeded)
+    ic_file = _ic_file(tmp_path, random_ic(random.Random(2203), depth=1))
+    for source in (["--preset", "standard:4"], ["--ic-file", ic_file]):
+        code, out = run(capsys, "verify", *source, "--brute-cap", "30")
+        statuses = {r["property"]: r["status"] for r in json.loads(out)["results"]}
+        assert code == 0 and statuses == dict.fromkeys(cli.PROPERTIES, "pass"), source
+
+
+def test_shuffled_masks_give_the_witnesses_of_the_ranked_ones():
+    # Corrupt a few masks, sometimes repeat some: whatever the order of
+    # ctx.masks, each per-grove witness names the first ranked grove that
+    # fails alone, injectivity the first ranked repeat of a degree table, and
+    # oracle the least grove that only one route found.
+    rng = random.Random(3131)
+    named = 0
+    for ic in (lattice.standard(4), lattice.standard(5), lattice.kleber(2, 2, 2),
+               lattice.kleber(2, 3, 2)):
+        ctx = cli._VerifyContext(ic, 30)
+        ctx.f_sym = laurent.LaurentPoly.constant(1)  # passes the polynomial's own checks
+        window = ctx.window
+        masks = sorted(ctx.masks, key=cli._grove_order)
+        try:
+            brute = {g.mask for g in groves.enumerate_bruteforce(ic, cap=30)}
+        except groves.TooLarge:
+            brute = None
+        for _ in range(12):
+            bad = list(masks)
+            for i in rng.sample(range(len(bad)), rng.randint(1, 4)):
+                bad[i] ^= 1 << rng.randrange(len(window.rhombi))
+            bad += rng.sample(bad, rng.choice((0, 0, 1, 2, 3)))  # repeats, maybe several
+            ranked = sorted(bad, key=cli._grove_order)
+
+            def alone(name, m):
+                ctx.masks = [m]
+                return cli.PROPERTIES[name](ic, ctx)
+
+            want = {name: next(filter(None, (alone(name, m) for m in ranked)), None)
+                    for name in ("acyclic", "triineq", "degrees", "simplified")}
+            seen, want["injectivity"] = {}, None
+            for i, m in enumerate(ranked):
+                if (j := seen.setdefault(window.degree_vector(m), i)) != i:
+                    want["injectivity"] = (f"groves {ctx.named(ranked[j])} and {ctx.named(m)} "
+                                           "share a degree table")
+                    break
+            if brute is not None:
+                ctx.masks = ranked
+                want["oracle"] = cli.PROPERTIES["oracle"](ic, ctx)
+                least = min(set(bad) ^ brute, default=None,
+                            key=lambda m: groves._grove(ic, m).sorted_long_edges())
+                assert (want["oracle"] is None) == (least is None)
+                assert least is None or want["oracle"].endswith(f" grove {ctx.named(least)}")
+            for order in (ranked, bad, rng.sample(bad, len(bad)), ranked[::-1]):
+                ctx.masks = order
+                assert {name: cli.PROPERTIES[name](ic, ctx) for name in want} == want, ic
+            named += sum(w is not None for w in want.values())
+    assert named > 50, named
 
 
 def test_coeffone_witness_names_the_rhombi(monkeypatch):
