@@ -227,7 +227,7 @@ class Skipped(NamedTuple):
 def _prop_main_theorem(ic, ctx):
     f_sym = ctx.f_sym
     f_sub = recurrence.f_via_substitution(ic)
-    total = groves.grove_sum(groves._grove(ic, m) for m in ctx.masks)
+    total = groves.mask_sum(ctx.window, ctx.masks)
     if f_sym != f_sub:
         return "symbolic and substitution evaluators disagree"
     if total != f_sym:
@@ -364,7 +364,7 @@ def _prop_octahedron(ic, ctx):
         return a + b == c
 
     filtered = laurent.drop_variables(
-        groves.grove_sum(groves._grove(ic, m) for m in ctx.masks if balanced(m)),
+        groves.mask_sum(window, filter(balanced, ctx.masks)),
         (laurent.TAG_A, laurent.TAG_B, laurent.TAG_C),
     )
     if filtered != report.direct:

@@ -290,24 +290,46 @@ class _Window:
     Position t stands for rhombi[t].  The minimal window's rhombi come first,
     in sorted order, so positions below `bits` are the bits of a grove's mask,
     and a grove's mask is its set of positions in every window; the rest of
-    this window's rhombi follow, sorted.  The tables are indexed by position
-    and hold window-point indices, so every view of a grove reads its mask
-    through them.
+    this window's rhombi follow, sorted.  Only points, rhombi and bits are
+    built with the window, which is all the local-move walk reads.  Every
+    other table is built on its first read: the point index, the positions,
+    the boundary classes, and the tables indexed by position that hold
+    window-point indices, through which every view of a grove reads its mask.
     """
 
     def __init__(self, ic: InitialConditions, N: int):
         self.ic, self.N = ic, N
         self.points = ic.points_in_J(N)  # sorted; point i has index i
-        self.index = index = {p: i for i, p in enumerate(self.points)}
         own = ic.rhombi_in_J(N)
-        inner = own if N == ic.min_cutoff else _window(ic, ic.min_cutoff).rhombi
-        known = set(inner)
-        self.rhombi = inner + tuple(r for r in own if r not in known)
-        self.bits = len(inner)
-        self.pos = {r: t for t, r in enumerate(self.rhombi)}
-        self.long_ends = [(index[a], index[b]) for a, b in map(Rhombus.long_edge, self.rhombi)]
-        self.short_ends = [(index[a], index[b]) for a, b in map(Rhombus.short_edge, self.rhombi)]
-        self.classes = boundary_classes(N)
+        if N == ic.min_cutoff:
+            self.rhombi, self.bits = own, len(own)
+        else:
+            inner = _window(ic, ic.min_cutoff).rhombi
+            known = set(inner)
+            self.rhombi = inner + tuple(r for r in own if r not in known)
+            self.bits = len(inner)
+
+    @cached_property
+    def index(self) -> dict[Point3, int]:
+        return {p: i for i, p in enumerate(self.points)}
+
+    @cached_property
+    def pos(self) -> dict[Rhombus, int]:
+        return {r: t for t, r in enumerate(self.rhombi)}
+
+    @cached_property
+    def long_ends(self) -> list[tuple[int, int]]:
+        index = self.index
+        return [(index[a], index[b]) for a, b in map(Rhombus.long_edge, self.rhombi)]
+
+    @cached_property
+    def short_ends(self) -> list[tuple[int, int]]:
+        index = self.index
+        return [(index[a], index[b]) for a, b in map(Rhombus.short_edge, self.rhombi)]
+
+    @cached_property
+    def classes(self) -> list[tuple[Point3, ...]]:
+        return boundary_classes(self.N)
 
     def edges(self, m: int) -> list[tuple[int, int]]:
         """The edge used on each window rhombus, by position: the long one where m has a bit."""
@@ -439,16 +461,32 @@ class _Window:
         base sums are bounded by the sum of |degree - 2|, and each change
         less its target lies in -2..3, so w covers both.  Only when the
         packed check fails does the scan over t, then u, name the first fault.
+
+        Point p's int is, over the three axes, the sum of the fields of that
+        axis's rhombi whose top exceeds p on both long-edge coordinates x and
+        y.  Per axis, a grid over (top[x], top[y]) holds the fields, and its
+        suffix sums give every point's share in one lookup.
         """
         n, points, base = self.bits, self.points, self.base_degrees
         w = (sum(abs(d - 2) for d in base) + 3).bit_length()
-        fields = [0] * len(points)
+        # Window coordinates lie in lo..0; grid row and column c - lo hold
+        # coordinate c, and the last row and column stay 0.
+        lo = -self.N - 2
+        size = 2 - lo
+        grids = {axis: [[0] * size for _ in range(size)] for axis in AXES}
         for t, r in enumerate(self.rhombi[:n]):
             _, x, y = _AXIS[r.axis]
-            tx, ty, field = r.top[x], r.top[y], 1 << w * t
-            for i, p in enumerate(points):
-                if p[x] < tx and p[y] < ty:
-                    fields[i] += field
+            grids[r.axis][r.top[x] - lo][r.top[y] - lo] += 1 << w * t
+        fields = [0] * len(points)
+        for axis, grid in grids.items():
+            for X in range(size - 2, -1, -1):
+                row, below, run = grid[X], grid[X + 1], 0
+                for Y in range(size - 2, -1, -1):
+                    run += row[Y]
+                    row[Y] = run + below[Y]
+            _, x, y = _AXIS[axis]
+            for i, p in enumerate(points):  # the tops one past p on both coordinates
+                fields[i] += grid[p[x] - lo + 1][p[y] - lo + 1]
         ends = zip(self.long_ends[:n], self.short_ends[:n])
         if (sum((d - 2) * f for d, f in zip(base, fields)) == 0
                 and all(fields[a] + fields[b] - fields[c] - fields[d] == -(1 << w * u)
@@ -591,13 +629,22 @@ def grove_from_monomial(ic: InitialConditions, m: Monomial) -> Grove:
     return g
 
 
+def mask_sum(window: _Window, masks: Iterable[int]) -> LaurentPoly:
+    """Sum of the monomials of the groves with these masks, window the minimal one.
+
+    It adds up packed keys: the base key plus the set bits' step keys.
+    """
+    base, steps = window.base_key, window.step_keys
+    return LaurentPoly._from_keys(dict(Counter(base + sum(_at_bits(steps, m)) for m in masks)))
+
+
 def grove_sum(groves: Iterable[Grove]) -> LaurentPoly:
-    """Sum of grove monomials, added up as packed keys: the base key plus set bits' step keys."""
-    keys = Counter()
+    """Sum of grove monomials: mask_sum over each ideal's masks."""
+    masks: dict[InitialConditions, list[int]] = {}
     for g in groves:
-        window = _min_window(g)
-        keys[window.base_key + sum(_at_bits(window.step_keys, g.mask))] += 1
-    return LaurentPoly._from_keys(dict(keys))
+        masks.setdefault(g.ic, []).append(g.mask)
+    return sum((mask_sum(_window(ic, ic.min_cutoff), ms) for ic, ms in masks.items()),
+               LaurentPoly.zero())
 
 
 def coeffone_sums(g: Grove, r: Rhombus) -> int:
@@ -669,8 +716,17 @@ def _local_move_masks(ic: InitialConditions) -> set[int]:
 
 
 def enumerate_local_moves(ic: InitialConditions) -> set[Grove]:
-    """All groves, built by local moves along the reversed peel sequence."""
-    return {_grove(ic, m) for m in _local_move_masks(ic)}
+    """All groves, built by local moves along the reversed peel sequence.
+
+    Each Grove is made in place, as _grove makes it, with no call per grove.
+    """
+    out, new = set(), object.__new__
+    for m in _local_move_masks(ic):
+        g = new(Grove)
+        g.ic = ic
+        g.mask = m
+        out.add(g)
+    return out
 
 
 def count_local_moves(ic: InitialConditions) -> int:

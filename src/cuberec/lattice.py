@@ -14,13 +14,20 @@ is max(0, 1 - min coordinate sum over u_fin).
 
 Upward closure puts exactly one initial point on each (1,1,1) line of the
 cone: walking down from the line's wall point (max coordinate 0), the points
-in u_fin come first, and the first point past them is the initial one.  At a
-cutoff N, the window J(N) is the initial points with coordinate sum >= -N-2,
-one per wall point of that sum or more, 3*C(N+3,2)+1 in all; points_in_J
-reads them off the lines.  J(N) is J(N-1) plus the band of sum -N-2, so the
-rhombi touching J(N) are those touching J(N-1) plus the contained ones whose
-top lies in that band.  Both rules assume upward closure, so an ideal built
-with validate=False that lacks it is outside their contract.
+in u_fin come first, and the first point past them is the initial one.  So
+the line's depth, how many points of u_fin lie on it, places that point; one
+pass over u_fin counts every line's depth, keyed by its wall point, and
+height() and points_in_J read the count.  At a cutoff N, the window J(N) is
+the initial points with coordinate sum >= -N-2, one per wall point of that
+sum or more, 3*C(N+3,2)+1 in all.
+
+A contained rhombus has its top at an initial point, so the contained rhombi
+fall into bands by their top's coordinate sum, and one band rule serves both
+rhombus queries: rhombi_in_J(N) is the bands of sum >= -N, and
+rhombi_touching_J(N) adds the two of sum -N-1 and -N-2, whose edges reach
+J(N) from below.  Each band goes through contains_rhombus once per ideal,
+whichever query asks for it first.  Both rules assume upward closure, so an
+ideal built with validate=False that lacks it is outside their contract.
 
 Rhombi come in three axes by one rule: axis t of AXES is free in coordinate
 t.  Its rhombus steps down from the top vertex along the other two
@@ -231,10 +238,23 @@ class InitialConditions:
             value = self._windows[key] = build()
         return value
 
+    def _depths(self) -> dict[Point3, int]:
+        """How many points of u_fin lie on each (1,1,1) line that meets it, keyed by its wall point."""
+
+        def build():
+            depths: dict[Point3, int] = {}
+            for i, j, k in self.u_fin:
+                m = max(i, j, k)
+                wall = (i - m, j - m, k - m)
+                depths[wall] = depths.get(wall, 0) + 1
+            return depths
+
+        return self.memo("depths", build)
+
     def points_in_J(self, N: int | None = None) -> tuple[Point3, ...]:
         """All initial points with coordinate sum >= -N-2, sorted; NotACutoff unless N is one.
 
-        One per (1,1,1) line, by height() from the line's wall point, for
+        One per (1,1,1) line, its wall point lowered by the line's depth, for
         each wall point of sum >= -N-2.  At a cutoff every point of u_fin has
         sum > -N (one of sum <= -N would need its diagonal predecessor in
         u_fin too, and so on without end), so each of those initial points
@@ -245,13 +265,13 @@ class InitialConditions:
         def build():
             if not self.is_cutoff(N):
                 raise NotACutoff(str(N))
-            lo, found = -N - 2, []
+            depth, lo, found = self._depths().get, -N - 2, []
             for i in range(lo, 1):
                 for j in range(lo - i, 1):
                     # The wall points (max coordinate 0) with these first two coordinates.
                     for k in range(lo - i - j, 1) if i == 0 or j == 0 else (0,):
-                        h = self.height((i, j, k))
-                        found.append((i + h, j + h, k + h))
+                        h = depth((i, j, k), 0)
+                        found.append((i - h, j - h, k - h))
             return tuple(sorted(found))
 
         return self.memo(("points", N), build)
@@ -270,34 +290,32 @@ class InitialConditions:
         return True
 
     def rhombi_in_J(self, N: int | None = None) -> tuple[Rhombus, ...]:
-        """All rhombi whose four vertices lie in the radius-N window."""
+        """All rhombi whose four vertices lie in the radius-N window: the bands of top sum >= -N."""
         N = self.min_cutoff if N is None else N
-        return self.memo(("rhombi_in", N), lambda: tuple(
-            r for r in self.rhombi_touching_J(N) if sum(r.top) >= -N))
+        return self.memo(("rhombi_in", N), lambda: self._banded(N, -N))
 
     def rhombi_touching_J(self, N: int | None = None) -> tuple[Rhombus, ...]:
-        """All contained rhombi with top-vertex sum >= -N-2, sorted; their edges can reach J(N).
-
-        At the least cutoff every (axis, top) over the window's points is
-        tried.  Each radius above extends the one below with the tops of sum
-        -N-2, the band J(N) adds to J(N-1), one radius at a time from the
-        highest already built; every candidate goes through contains_rhombus.
-        """
+        """All contained rhombi with top-vertex sum >= -N-2, sorted; their edges can reach J(N)."""
         N = self.min_cutoff if N is None else N
-        memo, least = self._windows, self.min_cutoff
-        if ("rhombi", N) not in memo:
-            points = self.points_in_J(N)  # NotACutoff unless N is one
-            n = N
-            while n > least and ("rhombi", n - 1) not in memo:
-                n -= 1
-            for m in range(n, N + 1):
-                if m == least:
-                    rhombi = self._contained([p for p in points if sum(p) >= -m - 2])
-                else:
-                    band = self._contained([p for p in points if sum(p) == -m - 2])
-                    rhombi = tuple(sorted(memo["rhombi", m - 1] + band))
-                memo["rhombi", m] = rhombi
-        return memo["rhombi", N]
+        return self.memo(("rhombi", N), lambda: self._banded(N, -N - 2))
+
+    def _banded(self, N: int, lowest: int) -> tuple[Rhombus, ...]:
+        """The contained rhombi with top sum from 0 down to lowest >= -N-2, sorted.
+
+        J(N) holds every initial point of those sums, so its points are the
+        tops of the bands not yet built; NotACutoff unless N is a cutoff.
+        """
+        points = self.points_in_J(N)
+        bands = self.memo("bands", dict)
+        tops = {s: [] for s in range(lowest, 1) if s not in bands}
+        if tops:
+            for p in points:  # sorted, and so is each band's share
+                band = tops.get(p[0] + p[1] + p[2])
+                if band is not None:
+                    band.append(p)
+            for s, band in tops.items():
+                bands[s] = self._contained(band)
+        return tuple(sorted(itertools.chain.from_iterable(bands[s] for s in range(lowest, 1))))
 
     def _contained(self, tops: list[Point3]) -> tuple[Rhombus, ...]:
         """The contained rhombi over the sorted tops, in sorted order: axis first, then top."""
@@ -334,11 +352,9 @@ class InitialConditions:
         return sorted(self.u_fin, key=lambda p: (p[0] + p[1] + p[2], p))
 
     def height(self, p: Point3) -> int:
-        """The unique h with p + (h,h,h) an initial point."""
-        h = -max(p)
-        while (p[0] + h, p[1] + h, p[2] + h) in self.u_fin:
-            h -= 1
-        return h
+        """The unique h with p + (h,h,h) an initial point: the line's wall point, lowered by its depth."""
+        m = max(p)
+        return -m - self._depths().get((p[0] - m, p[1] - m, p[2] - m), 0)
 
 
 def standard(n: int) -> InitialConditions:

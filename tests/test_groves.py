@@ -234,11 +234,14 @@ def test_local_moves_name_the_rhombus_that_carries_a_refused_variable(monkeypatc
 
 
 def test_grove_views_read_the_window_tables(monkeypatch):
-    # Once the windows are built, no per-grove view recomputes a rhombus's edges.
+    # Once the windows' edge tables are read, no per-grove view recomputes a
+    # rhombus's edges.  The tables are built on their first read, so they are
+    # read here, before the edges are counted.
     ic = lattice.standard(4)
     gs = enumerate_local_moves(ic)
     for N in (ic.min_cutoff, ic.min_odd_cutoff):
-        groves._window(ic, N)
+        window = groves._window(ic, N)
+        window.long_ends, window.short_ends
     calls = 0
 
     def counting(method):
@@ -256,6 +259,24 @@ def test_grove_views_read_the_window_tables(monkeypatch):
         monomial_of(g), stats(g), grove_degrees(g)
     render.render_grove(min(gs, key=grove_key))
     assert calls == 0
+
+
+LAZY_WINDOW_TABLES = {"index", "pos", "long_ends", "short_ends", "classes"}
+
+
+@pytest.mark.parametrize("walk", [count_local_moves, enumerate_local_moves])
+def test_local_moves_build_only_what_the_walk_reads(walk):
+    # The walk reads the minimal window's rhombi and bit count.  The tables
+    # that verify and render read wait for their first read, and the rhombi
+    # touching the window, two bands past it, are never asked for.
+    ic = lattice.kleber(2, 3, 2)
+    walk(ic)
+    window = groves._window(ic, ic.min_cutoff)
+    assert LAZY_WINDOW_TABLES.isdisjoint(vars(window))
+    assert ("rhombi", ic.min_cutoff) not in ic._windows
+    assert window.long_ends == [
+        (window.index[a], window.index[b]) for a, b in map(Rhombus.long_edge, window.rhombi)]
+    assert {"index", "long_ends"} <= vars(window).keys()
 
 
 # Six long edges forming a closed hexagon inside the bulk of standard(4).

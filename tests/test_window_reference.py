@@ -1,10 +1,12 @@
 """The window layer against its definitions.
 
-points_in_J reads one initial point off each (1,1,1) line, and
-rhombi_touching_J extends the radius below by one band of tops.  The
-reference here is the definition instead: every point of the cube through
-in_I, and every (axis, point) of the window through contains_rhombus.  Both
-must give equal tuples, order included.
+points_in_J reads one initial point off each (1,1,1) line, at the line's
+depth, and rhombi_in_J and rhombi_touching_J join bands of tops, each band
+built once by whichever asks first.  The reference here is the definition
+instead: every point of the cube through in_I, and every (axis, point) of
+the window through contains_rhombus.  Both must give equal tuples, order
+included, in either order of asking.  height() reads the same depths; its
+reference is the walk down the line while the point is in u_fin.
 
 The coefficient-one law is checked packed, all rhombi at once; the ordered
 scan over them is the reference, on windows corrupted at random.  The
@@ -47,9 +49,14 @@ def random_ideals():
     return [random_ic(rng, depth) for depth in (2, 3) for _ in range(80)]
 
 
-def assert_windows_match(ic, radii):
+def assert_windows_match(ic, radii, inner_first=False):
+    """Each radius against the definition; rhombi_in_J asked first when inner_first."""
     for N in radii:
-        built = ic.points_in_J(N), ic.rhombi_touching_J(N), ic.rhombi_in_J(N)
+        if inner_first:
+            inner = ic.rhombi_in_J(N)
+            built = ic.points_in_J(N), ic.rhombi_touching_J(N), inner
+        else:
+            built = ic.points_in_J(N), ic.rhombi_touching_J(N), ic.rhombi_in_J(N)
         assert built == reference_windows(ic, N), (ic, N)
 
 
@@ -83,6 +90,39 @@ def test_windows_in_any_order_of_radii():
         radii = list(range(ic.min_cutoff, ic.min_cutoff + 6))
         rng.shuffle(radii)
         assert_windows_match(ic, radii)
+
+
+@pytest.mark.parametrize("name", fixed_ideals())
+def test_windows_with_the_inner_rhombi_asked_first_on_fixed_ideals(name):
+    # Fresh ideals: rhombi_in_J builds the bands down to -N, and
+    # rhombi_touching_J then adds the two below them.
+    ic = fixed_ideals()[name]
+    least = ic.min_cutoff
+    assert_windows_match(ic, range(least, least + 6), inner_first=True)
+
+
+def test_windows_with_the_inner_rhombi_asked_first_on_random_ideals():
+    rng = random.Random(19)
+    for ic in random_ideals():
+        radii = list(range(ic.min_cutoff, ic.min_cutoff + 6))
+        rng.shuffle(radii)
+        assert_windows_match(ic, radii, inner_first=True)
+
+
+def reference_height(ic, p):
+    """The h with p + (h,h,h) initial, walking down from the line's wall point."""
+    h = -max(p)
+    while (p[0] + h, p[1] + h, p[2] + h) in ic.u_fin:
+        h -= 1
+    return h
+
+
+def test_height_reads_the_line_depths():
+    ideals = list(fixed_ideals().values()) + random_ideals()
+    for ic in ideals:
+        lo = -ic.min_cutoff - 4
+        for p in itertools.product(range(lo, 2), repeat=3):
+            assert ic.height(p) == reference_height(ic, p), (ic, p)
 
 
 def test_window_below_the_least_cutoff_is_refused():
@@ -144,6 +184,21 @@ def test_packed_coeffone_check_names_what_the_scan_names():
             assert window.quadrant_fault == want, ic
             kinds.add(want.split()[0] if want else None)
     assert kinds == {"quadrant", "the", None}
+
+
+def test_packed_coeffone_check_passes_sound_windows_by_itself(monkeypatch):
+    # The scan answers whenever the packed check fails, so a wrong packing
+    # would still give None here; only the packed check may run.
+    def no_scan(window):
+        raise AssertionError(f"the packed check failed on a sound window of {window.ic}")
+
+    monkeypatch.setattr(groves._Window, "_quadrant_scan", no_scan)
+    rng = random.Random(2027)
+    ideals = list(fixed_ideals().values()) + [random_ic(rng, depth) for depth in (2, 3, 4)
+                                              for _ in range(20)]
+    for ic in ideals:
+        for N in (ic.min_cutoff, ic.min_odd_cutoff):
+            assert groves._Window(ic, N).quadrant_fault is None, (ic, N)
 
 
 def test_packed_coeffone_check_is_exact_where_narrow_fields_would_cancel():
