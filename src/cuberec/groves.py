@@ -857,10 +857,29 @@ def window_rhombus_count(N: int) -> int:
     return 3 * comb(N + 2, 2)
 
 
+_FLIP = str.maketrans("01", "10")
+
+
+def grove_order(mask: int) -> str:
+    """A key that orders masks as the lists of their set bits, lowest first: enumerate's order.
+
+    Bit 0 up to the highest set bit, "0" for a set bit and "1" for a clear
+    one.  At the first difference the list with the lesser bit has "0"; a
+    list that extends another has a key that extends the other's.  This is
+    the order of the groves' sorted long-edge lists.
+    """
+    return bin(mask)[:1:-1].translate(_FLIP) if mask else ""
+
+
+def long_edge_list(ic: InitialConditions, mask: int) -> list[list]:
+    """Each long edge of mask as [axis, i, j, k], lowest bit first: a grove line's long_edges."""
+    return [[r.axis, *r.top] for r in _at_bits(_window(ic, ic.min_cutoff).rhombi, mask)]
+
+
 def grove_to_json(g: Grove) -> dict:
     st = stats(g)
     return {
-        "long_edges": [[r.axis, *r.top] for r in g.sorted_long_edges()],
+        "long_edges": long_edge_list(g.ic, g.mask),
         "n": [st.n_a, st.n_b, st.n_c],
         "degrees": {"(%d,%d,%d)" % p: d for p, d in sorted(st.degree.items())},
     }

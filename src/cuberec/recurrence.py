@@ -136,11 +136,16 @@ def _coeffs(w: Point3, mode, weight, mul=operator.mul, one=1) -> tuple:
     i, j, k = w
     if mode == MODE_EDGE_VARS:
         a, b, c = weight(avar(j, k)), weight(bvar(i, k)), weight(cvar(i, j))
-    elif isinstance(mode, CustomMode):
+    else:  # a CustomMode; each evaluator checks its mode on entry (_check_mode)
         a, b, c = (weight(T, exp, coeff) for coeff, exp in (mode.a, mode.b, mode.c))
-    else:
-        raise ValueError(f"unsupported mode {mode!r}")
     return (mul(b, c), mul(c, a), mul(a, b))
+
+
+def _check_mode(mode, *extra) -> None:
+    """ValueError unless mode is a symbolic mode, a CustomMode or one of extra."""
+    if not (mode in (MODE_EDGE_VARS, MODE_ABC, MODE_SHIFT_OCTA, *extra)
+            or isinstance(mode, CustomMode)):
+        raise ValueError(f"unsupported mode {mode!r}")
 
 
 def _laurent_step(terms, den: LaurentPoly) -> LaurentPoly:
@@ -247,6 +252,7 @@ def f_symbolic(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPoly:
     the images of B*C, C*A and A*B under abc_from_edge_vars, so it gives the
     polynomial that abc_from_edge_vars makes of the edge-vars one.
     """
+    _check_mode(mode)
     return _walk(
         ic,
         lambda p: LaurentPoly.variable(xvar(*p)),
@@ -263,6 +269,7 @@ def f_via_substitution(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPol
     step, a Laurent polynomial over the diagonal predecessor's variable, with
     ``laurent.substitute``.
     """
+    _check_mode(mode)
     if mode == MODE_ABC:
         return abc_from_edge_vars(f_via_substitution(ic, MODE_EDGE_VARS))
 
@@ -315,9 +322,13 @@ def f_numeric(
     """Exact rational value at the origin, without symbolic expansion.
 
     With no assignment every variable is 1 (the grove count in edge-vars
-    mode); otherwise every variable read must be assigned.
+    mode); otherwise every variable read must be assigned.  In all-ones mode
+    every variable is 1, and an assignment raises ValueError.
     """
+    _check_mode(mode, MODE_ALL_ONES)
     if mode == MODE_ALL_ONES:
+        if assign is not None:
+            raise ValueError("all-ones mode sets every variable to 1; it takes no assignment")
         mode = MODE_EDGE_VARS  # the ones come from ``assign`` being None
     # A coefficient variable recurs at many points; each converts once.  The
     # walk reads each initial point's value once.

@@ -141,16 +141,16 @@ def gr_certificate(spec: GaleRobinsonSpec, l: int) -> GrCertificate:
     The counting side always uses the all-ones specialization (unit
     coefficients and unit initial terms), which is where terms count groves,
     so ``spec.alpha`` etc. play no part.  The groves are counted as local-move
-    masks, and no Grove is built.  The expected size is pre-computed
-    numerically; enumeration beyond ``_MAX_GROVES`` raises TooLarge.
+    masks, and no Grove is built.  The term itself, which the groves should
+    number, bounds the enumeration: a term beyond ``_MAX_GROVES`` raises
+    TooLarge before any grove is counted.
     """
     value = gr_terms(GaleRobinsonSpec(spec.p, spec.q, spec.r), l + 1)[l]
-    ic = lattice.gale_robinson(spec.p, spec.q, spec.r, l)
-    expected = recurrence.f_numeric(ic)
-    if expected > _MAX_GROVES:
+    if value > _MAX_GROVES:
         raise groves.TooLarge(
-            f"term y_{l} counts {expected} groves, above the {_MAX_GROVES} bound"
+            f"term y_{l} counts {value} groves, above the {_MAX_GROVES} bound"
         )
+    ic = lattice.gale_robinson(spec.p, spec.q, spec.r, l)
     count = groves.count_local_moves(ic)
     return GrCertificate(
         l=l,

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from conftest import random_ic
-from cuberec import cli, groves, laurent, lattice, recurrence
+from cuberec import cli, groves, laurent, lattice, recurrence, verify
 
 
 def run(capsys, *argv):
@@ -141,11 +141,11 @@ def test_sorted_groves_follow_the_sorted_long_edges():
     for _ in range(10):
         gs = groves.enumerate_local_moves(random_ic(rng, depth=1, boxes=4))
         masks = {g.mask for g in gs}
-        assert sorted(masks, key=cli._grove_order) == [g.mask for g in by_rhombi(gs)]
+        assert sorted(masks, key=groves.grove_order) == [g.mask for g in by_rhombi(gs)]
 
 
 def test_set_bits_order_is_the_order_of_the_set_bit_lists():
-    # _grove_order needs no mask length: masks of every length sort together.
+    # grove_order needs no mask length: masks of every length sort together.
     def set_bits(m):
         return [t for t in range(m.bit_length()) if m >> t & 1]
 
@@ -156,9 +156,9 @@ def test_set_bits_order_is_the_order_of_the_set_bit_lists():
         masks = [m for m in prefixes if m.bit_length() <= length]
         masks += [rng.getrandbits(rng.randint(1, length)) for _ in range(300)]
         masks += [m & ~(1 << rng.randrange(length)) for m in masks[:100]]  # shared prefixes
-        assert sorted(masks, key=cli._grove_order) == sorted(masks, key=set_bits), length
+        assert sorted(masks, key=groves.grove_order) == sorted(masks, key=set_bits), length
         everything += masks
-    assert sorted(everything, key=cli._grove_order) == sorted(everything, key=set_bits)
+    assert sorted(everything, key=groves.grove_order) == sorted(everything, key=set_bits)
 
 
 def test_verify_passes(capsys):
@@ -196,6 +196,25 @@ def test_verify_reports_oracle_skip(capsys):
     code, out = run(capsys, "verify", "--preset", "standard:2", "--props", "oracle")
     (result,) = json.loads(out)["results"]
     assert code == 0 and result["status"] == "pass" and "reason" not in result
+
+
+def test_verify_run_gives_the_cli_report(tmp_path, capsys):
+    rng = random.Random(2424)
+    ics = [lattice.standard(3), lattice.kleber(2, 2, 2), random_ic(rng), random_ic(rng)]
+    argv = ["verify", "--preset", "standard:3", "--preset", "kleber:2,2,2"]
+    for i, ic in enumerate(ics[2:]):
+        argv += ["--ic-file", _ic_file(tmp_path, ic, f"ic{i}.json")]
+    code, out = run(capsys, *argv)
+    report = verify.run(ics, None, 18)
+    assert code == 0 and json.loads(out) == report
+    assert len(report["results"]) == 4 * len(verify.PROPERTIES)
+    assert "skipped" in {r["status"] for r in report["results"] if r["property"] == "oracle"}
+
+
+def test_verify_run_refuses_unknown_properties():
+    for props in (["imaginary"], ["oracle", "imaginary", "acyclic"], [""]):
+        with pytest.raises(ValueError, match="unknown properties"):
+            verify.run([lattice.standard(2)], props, 18)
 
 
 def test_verify_builds_only_what_the_properties_read(monkeypatch, capsys):
@@ -446,7 +465,7 @@ def test_grove_properties_fail_exactly_when_their_references_do():
            lattice.gale_robinson(4, 1, 2, 11)] + [random_ic(rng) for _ in range(4)]
     failed = dict.fromkeys(REFERENCES, 0)
     for ic in ics:
-        ctx = cli._VerifyContext(ic, 18)
+        ctx = verify.Context(ic, 18)
         ctx.f_sym = laurent.LaurentPoly.constant(1)  # passes the polynomial's own checks
         n = len(groves._window(ic, ic.min_cutoff).rhombi)
         masks = sorted(g.mask for g in groves.enumerate_local_moves(ic))
@@ -457,24 +476,24 @@ def test_grove_properties_fail_exactly_when_their_references_do():
                 g = groves._grove(ic, mask ^ flip)
                 ctx.masks = [mask ^ flip]
                 for name, reference in REFERENCES.items():
-                    witness = cli.PROPERTIES[name](ic, ctx)
+                    witness = verify.PROPERTIES[name](ctx)
                     assert (witness is not None) == reference(ic, g), (name, ic, g)
                     assert witness is None or _line(g) in witness
                     failed[name] += witness is not None
                 # The simplified grove sees only the even edges, so it may
                 # miss a fault of the whole graph, but never reports one it lacks.
-                if cli.PROPERTIES["simplified"](ic, ctx) is not None:
+                if verify.PROPERTIES["simplified"](ctx) is not None:
                     assert groves.check_grove(g, ic.min_odd_cutoff) is not None
     assert min(failed.values()) > 10, failed
 
 
 def test_injectivity_names_both_groves_of_a_repeat():
     ic = lattice.standard(3)
-    ctx = cli._VerifyContext(ic, 18)
-    assert cli.PROPERTIES["injectivity"](ic, ctx) is None
-    masks = sorted(ctx.masks, key=cli._grove_order)
+    ctx = verify.Context(ic, 18)
+    assert verify.PROPERTIES["injectivity"](ctx) is None
+    masks = sorted(ctx.masks, key=groves.grove_order)
     ctx.masks = masks + [masks[4]]
-    witness = cli.PROPERTIES["injectivity"](ic, ctx)
+    witness = verify.PROPERTIES["injectivity"](ctx)
     line = _line(groves._grove(ic, masks[4]))
     assert witness == f"groves {line} and {line} share a degree table"
     assert groves.grove_from_json(ic, json.loads(line)) == groves._grove(ic, masks[4])
@@ -485,9 +504,9 @@ def test_oracle_witness_names_a_grove_only_one_route_found():
     # names the least mask of the symmetric difference, in the groves' sorted
     # long-edge order, and the route that found it.
     ic = lattice.standard(3)
-    ctx = cli._VerifyContext(ic, 18)
-    assert cli.PROPERTIES["oracle"](ic, ctx) is None
-    masks = sorted(ctx.masks, key=cli._grove_order)
+    ctx = verify.Context(ic, 18)
+    assert verify.PROPERTIES["oracle"](ctx) is None
+    masks = sorted(ctx.masks, key=groves.grove_order)
     brute = len(groves.enumerate_bruteforce(ic))
     corrupted = [masks[:i] + [masks[i] ^ 1] + masks[i + 1:] for i in range(len(masks))]
     corrupted += [masks[1:], masks[:-1], masks + [masks[-1] ^ 1]]
@@ -496,7 +515,7 @@ def test_oracle_witness_names_a_grove_only_one_route_found():
         ctx.masks = bad
         least = min(set(bad) ^ set(masks), key=lambda m: groves._grove(ic, m).sorted_long_edges())
         route = "local moves" if least in bad else "brute force"
-        witness = cli.PROPERTIES["oracle"](ic, ctx)
+        witness = verify.PROPERTIES["oracle"](ctx)
         head = (f"local moves found {len(set(bad))} groves, brute force {brute}; "
                 f"only {route} found grove ")
         assert witness.startswith(head), witness
@@ -511,7 +530,7 @@ def test_a_passing_verify_never_orders_the_groves(monkeypatch, tmp_path, capsys)
     def unneeded(mask):
         raise AssertionError("a passing property ordered the groves")
 
-    monkeypatch.setattr(cli, "_grove_order", unneeded)
+    monkeypatch.setattr(groves, "grove_order", unneeded)
     ic_file = _ic_file(tmp_path, random_ic(random.Random(2203), depth=1))
     for source in (["--preset", "standard:4"], ["--ic-file", ic_file]):
         code, out = run(capsys, "verify", *source, "--brute-cap", "30")
@@ -528,10 +547,10 @@ def test_shuffled_masks_give_the_witnesses_of_the_ranked_ones():
     named = 0
     for ic in (lattice.standard(4), lattice.standard(5), lattice.kleber(2, 2, 2),
                lattice.kleber(2, 3, 2)):
-        ctx = cli._VerifyContext(ic, 30)
+        ctx = verify.Context(ic, 30)
         ctx.f_sym = laurent.LaurentPoly.constant(1)  # passes the polynomial's own checks
         window = ctx.window
-        masks = sorted(ctx.masks, key=cli._grove_order)
+        masks = sorted(ctx.masks, key=groves.grove_order)
         try:
             brute = {g.mask for g in groves.enumerate_bruteforce(ic, cap=30)}
         except groves.TooLarge:
@@ -541,11 +560,11 @@ def test_shuffled_masks_give_the_witnesses_of_the_ranked_ones():
             for i in rng.sample(range(len(bad)), rng.randint(1, 4)):
                 bad[i] ^= 1 << rng.randrange(len(window.rhombi))
             bad += rng.sample(bad, rng.choice((0, 0, 1, 2, 3)))  # repeats, maybe several
-            ranked = sorted(bad, key=cli._grove_order)
+            ranked = sorted(bad, key=groves.grove_order)
 
             def alone(name, m):
                 ctx.masks = [m]
-                return cli.PROPERTIES[name](ic, ctx)
+                return verify.PROPERTIES[name](ctx)
 
             want = {name: next(filter(None, (alone(name, m) for m in ranked)), None)
                     for name in ("acyclic", "triineq", "degrees", "simplified")}
@@ -557,14 +576,14 @@ def test_shuffled_masks_give_the_witnesses_of_the_ranked_ones():
                     break
             if brute is not None:
                 ctx.masks = ranked
-                want["oracle"] = cli.PROPERTIES["oracle"](ic, ctx)
+                want["oracle"] = verify.PROPERTIES["oracle"](ctx)
                 least = min(set(bad) ^ brute, default=None,
                             key=lambda m: groves._grove(ic, m).sorted_long_edges())
                 assert (want["oracle"] is None) == (least is None)
                 assert least is None or want["oracle"].endswith(f" grove {ctx.named(least)}")
             for order in (ranked, bad, rng.sample(bad, len(bad)), ranked[::-1]):
                 ctx.masks = order
-                assert {name: cli.PROPERTIES[name](ic, ctx) for name in want} == want, ic
+                assert {name: verify.PROPERTIES[name](ctx) for name in want} == want, ic
             named += sum(w is not None for w in want.values())
     assert named > 50, named
 
@@ -572,25 +591,25 @@ def test_shuffled_masks_give_the_witnesses_of_the_ranked_ones():
 def test_coeffone_witness_names_the_rhombi(monkeypatch):
     # The law holds on every real window, so corrupt a copy of one.
     ic = lattice.standard(3)
-    ctx = cli._VerifyContext(ic, 18)
-    assert cli.PROPERTIES["coeffone"](ic, ctx) is None
+    ctx = verify.Context(ic, 18)
+    assert verify.PROPERTIES["coeffone"](ctx) is None
     window = groves._Window(ic, ic.min_cutoff)
     r = window.rhombi[0]
     window.long_ends = [window.short_ends[0], *window.long_ends[1:]]
     monkeypatch.setattr(groves, "_window", lambda ic, N: window)
-    witness = cli.PROPERTIES["coeffone"](ic, ctx)
+    witness = verify.PROPERTIES["coeffone"](ctx)
     assert witness == f"the long edge of {r} changes the quadrant sum at {r} by 0, expected -1"
 
 
 def test_simplified_witness_names_both_rhombi_of_a_shared_even_edge(monkeypatch):
     ic = lattice.standard(3)
-    ctx = cli._VerifyContext(ic, 18)
-    assert cli.PROPERTIES["simplified"](ic, ctx) is None
+    ctx = verify.Context(ic, 18)
+    assert verify.PROPERTIES["simplified"](ctx) is None
     window = groves._Window(ic, ic.min_odd_cutoff)
     flip, edges, _, even = window.even_tables
     edges = [edges[0], edges[0], *edges[2:]]  # positions 0 and 1 share an even edge
     window.even_tables = flip, edges, {e: 1 << t for t, e in enumerate(edges)}, even
     monkeypatch.setattr(groves, "_window", lambda ic, N: window)
-    witness = cli.PROPERTIES["simplified"](ic, ctx)
+    witness = verify.PROPERTIES["simplified"](ctx)
     r, s = window.rhombi[:2]
     assert witness == f"rhombi {r} and {s} share the even edge {edges[0]}"

@@ -262,6 +262,25 @@ def test_symbolic_modes_reject_numeric_mode():
         f_symbolic(ONE_STEP, "all-ones")
 
 
+def test_all_ones_sets_every_variable_to_one():
+    # An assignment would have been read in edge-vars mode: 24 with every variable 2.
+    ic = lattice.standard(2)
+    every_two = {v: 2 for v in f_symbolic(ic).variables()}
+    assert f_numeric(ic, every_two) == 24
+    assert f_numeric(ic, None, "all-ones") == 3 == f_numeric(ic)
+    with pytest.raises(ValueError, match="all-ones"):
+        f_numeric(ic, every_two, "all-ones")
+
+
+def test_an_unsupported_mode_is_refused_where_no_point_is_walked():
+    # The empty ideal walks no point, so only a check on entry sees the mode.
+    empty = InitialConditions(())
+    for evaluate_in in (f_symbolic, f_via_substitution,
+                        lambda ic, mode: f_numeric(ic, None, mode)):
+        with pytest.raises(ValueError, match="unsupported mode 'bogus'"):
+            evaluate_in(empty, "bogus")
+
+
 def test_x_exponent_range():
     for ic in (ONE_STEP, lattice.standard(4), lattice.kleber(2, 2, 2)):
         lo, hi = f_symbolic(ic).exponent_range(laurent.TAG_X)
