@@ -30,15 +30,12 @@ from .verify import PROPERTIES
 def _parse_preset(spec: str) -> lattice.InitialConditions:
     kind, _, rest = spec.partition(":")
     args = [int(s) for s in rest.split(",")] if rest else []
-    try:
-        if kind == "standard" and len(args) == 1:
-            return lattice.standard(*args)
-        if kind == "kleber" and len(args) == 3:
-            return lattice.kleber(*args)
-        if kind in ("gale-robinson", "gale_robinson") and len(args) == 4:
-            return lattice.gale_robinson(*args)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+    build, names = lattice.PRESETS.get(kind, (None, ()))
+    if build is not None and len(args) == len(names):
+        try:
+            return build(*args)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
     raise argparse.ArgumentTypeError(
         f"bad preset {spec!r}; expected standard:N, kleber:I,J,K, "
         "or gale-robinson:P,Q,R,L"

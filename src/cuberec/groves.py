@@ -26,11 +26,14 @@ are popcounts.  The same holds for the monomial: it is the base grove's times
 a fixed step per set bit.  monomial_of and coeffone_sums decode it instead,
 as independent routes for the tests.
 
-Two facts the paper states about the lattice are checked once per window,
-not per grove, as both hold for a whole window or fail on it: the
-coefficient-one law (_Window.quadrant_fault), which is linear in the mask,
-and the injectivity of simplified groves (distinct even edges, which
-_Window.even_tables maps back to positions).
+The coefficient-one law is linear in the mask, so it is checked once per
+window, not per grove (_Window.quadrant_fault).  Half of it is an identity of
+the coordinates: a long edge changes only the quadrant sums of the rhombi
+that carry its edge variable.  What the ideal decides is the rest: the base
+grove's quadrant sums, and that no two window rhombi carry one variable.
+The injectivity of simplified groves needs no check at all: an even edge
+fixes its rhombus, so the even edges are distinct, and _Window.even_tables
+maps them back to positions.
 
 Enumeration comes in two independent flavours:
 
@@ -71,6 +74,7 @@ from .laurent import (
     LaurentPoly,
     Monomial,
     exps_from_items,
+    var_name,
     xvar,
 )
 from .lattice import (
@@ -447,69 +451,43 @@ class _Window:
 
         The law: for each rhombus t of the minimal window, the sum of
         (degree - 2) over the window points strictly below t's top on its two
-        long-edge axes (coeffone_sums) is minus bit t.  The sum is linear in
-        the mask, so the law holds for every mask exactly when the base
-        grove's sums are all 0 and each bit u changes the sum at t by
-        -[t = u].  A mask that breaks the law at t makes the base sum at t or
-        the change at t of one of its bits wrong, so this window check is at
-        least as strong as checking the law on every grove.
-
-        All t are checked at once (TAOCP 4A 7.1.3): field t, w bits wide, of
-        point p's int is 1 when p lies in t's quadrant.  Summed with signs,
-        the fields hold the sums at every t, and a sum of signed fields
-        s_t << w*t with each |s_t| < 2**w is 0 only when every s_t is.  The
-        base sums are bounded by the sum of |degree - 2|, and each change
-        less its target lies in -2..3, so w covers both.  Only when the
-        packed check fails does the scan over t, then u, name the first fault.
-
-        Point p's int is, over the three axes, the sum of the fields of that
-        axis's rhombi whose top exceeds p on both long-edge coordinates x and
-        y.  Per axis, a grid over (top[x], top[y]) holds the fields, and its
-        suffix sums give every point's share in one lookup.
+        long-edge coordinates x and y (coeffone_sums) is minus bit t.  The sum
+        is linear in the mask, so the law holds for every mask exactly when
+        the base grove's sums are all 0 and each bit u changes the sum at t by
+        -[t = u].  The long edge at u adds 1 at its two ends and takes 1 from
+        the short edge's.  When u's axis is not t's, the four ends project to
+        the same two points on (x, y) and cancel.  On t's axis the change is
+        -1 when u's top equals t's on x and y, that is, when u carries t's
+        edge variable, and 0 otherwise.  So the change needs no check, and
+        what the ideal decides is checked instead: the base sums, in position
+        order, from per-axis prefix sums of degree - 2 over a grid of the
+        window points, then that no two rhombi carry one edge variable.
         """
-        n, points, base = self.bits, self.points, self.base_degrees
-        w = (sum(abs(d - 2) for d in base) + 3).bit_length()
-        # Window coordinates lie in lo..0; grid row and column c - lo hold
-        # coordinate c, and the last row and column stay 0.
-        lo = -self.N - 2
-        size = 2 - lo
-        grids = {axis: [[0] * size for _ in range(size)] for axis in AXES}
-        for t, r in enumerate(self.rhombi[:n]):
-            _, x, y = _AXIS[r.axis]
-            grids[r.axis][r.top[x] - lo][r.top[y] - lo] += 1 << w * t
-        fields = [0] * len(points)
-        for axis, grid in grids.items():
-            for X in range(size - 2, -1, -1):
-                row, below, run = grid[X], grid[X + 1], 0
-                for Y in range(size - 2, -1, -1):
-                    run += row[Y]
-                    row[Y] = run + below[Y]
+        rhombi, lo = self.rhombi[:self.bits], -self.N - 2
+        size = 2 - lo  # grid index c - lo + 1 holds coordinate c; index 0 stays 0
+        below = {}
+        for axis in AXES:
             _, x, y = _AXIS[axis]
-            for i, p in enumerate(points):  # the tops one past p on both coordinates
-                fields[i] += grid[p[x] - lo + 1][p[y] - lo + 1]
-        ends = zip(self.long_ends[:n], self.short_ends[:n])
-        if (sum((d - 2) * f for d, f in zip(base, fields)) == 0
-                and all(fields[a] + fields[b] - fields[c] - fields[d] == -(1 << w * u)
-                        for u, ((a, b), (c, d)) in enumerate(ends))):
-            return None
-        return self._quadrant_scan()
-
-    def _quadrant_scan(self) -> str | None:
-        """quadrant_fault by the sums at each t in turn, then each u's change there."""
-        n, points, base = self.bits, self.points, self.base_degrees
-        rhombi, ends = self.rhombi[:n], list(zip(self.long_ends[:n], self.short_ends[:n]))
-        for t, r in enumerate(rhombi):
+            grid = [[0] * size for _ in range(size)]
+            for p, d in zip(self.points, self.base_degrees):
+                grid[p[x] - lo + 1][p[y] - lo + 1] += d - 2
+            for X in range(1, size):  # grid[X][Y]: the points with p[x] < X + lo, p[y] < Y + lo
+                row, prev, run = grid[X], grid[X - 1], 0
+                for Y in range(1, size):
+                    run += row[Y]
+                    row[Y] = run + prev[Y]
+            below[axis] = grid
+        for r in rhombi:
             _, x, y = _AXIS[r.axis]
-            tx, ty = r.top[x], r.top[y]
-            inside = [p[x] < tx and p[y] < ty for p in points]
-            s = sum(d - 2 for d, q in zip(base, inside) if q)
+            s = below[r.axis][r.top[x] - lo][r.top[y] - lo]
             if s:
                 return f"quadrant sum {s} at {r} in the base grove, expected 0"
-            for u, ((a, b), (c, d)) in enumerate(ends):
-                change = inside[a] + inside[b] - inside[c] - inside[d]
-                if change != -(t == u):
-                    return (f"the long edge of {rhombi[u]} changes the quadrant sum at {r} "
-                            f"by {change}, expected {-(t == u)}")
+        seen: dict = {}
+        for t, r in enumerate(rhombi):
+            v = r.variable()
+            u = seen.setdefault(v, t)
+            if u != t:
+                return f"rhombi {rhombi[u]} and {r} carry one edge variable {var_name(v)}"
         return None
 
     @cached_property
@@ -519,10 +497,12 @@ class _Window:
         Long edges join two points of sum s-1 and short edges the sums s and
         s-2, s the top's sum, so a rhombus's even edge is its long edge when s
         is odd.  A grove uses it exactly where its positions differ from flip,
-        the positions with s even.  When the even edges are pairwise distinct,
-        the bit table inverts them, so from_simplified(to_simplified(g)) is g
-        for every g; a g it fails on has a position whose even edge another
-        position shares.
+        the positions with s even.  The even edges are pairwise distinct, as
+        an edge fixes its rhombus: a short edge's ends differ in sum by 2,
+        and the top is the higher one; a long edge's ends have one sum, and
+        the top is their coordinatewise maximum; the axis is the coordinate
+        on which the ends agree.  So the bit table inverts the edges, and
+        from_simplified(to_simplified(g)) is g for every g.
         """
         flip, edges = 0, []
         points = self.points
@@ -743,7 +723,11 @@ def enumerate_bruteforce(
     choice is exactly a forest in which no two boundary classes meet and every
     class stays connected.  Both conditions prune the search.  Like local
     moves, it refuses a grove with a long edge beyond the minimal window.
+    A window of more than cap rhombi raises TooLarge; a negative cap,
+    ValueError.
     """
+    if cap < 0:
+        raise ValueError(f"cap must be >= 0, not {cap}")
     N = ic.min_cutoff if N is None else N
     window = _window(ic, N)
     index, classes = window.index, window.classes

@@ -396,6 +396,16 @@ def gale_robinson(p: int, q: int, r: int, l: int) -> InitialConditions:
     return InitialConditions(pts)
 
 
+# Each preset's constructor and the names of its arguments, in order, which are
+# also its JSON fields: --preset kind:a,b,... and {"preset": kind, ...}.
+PRESETS = {
+    "standard": (standard, ("n",)),
+    "kleber": (kleber, ("i", "j", "k")),
+    "gale-robinson": (gale_robinson, ("p", "q", "r", "l")),
+}
+PRESETS["gale_robinson"] = PRESETS["gale-robinson"]
+
+
 def explicit(u_fin: Iterable[Point3]) -> InitialConditions:
     return InitialConditions(u_fin)
 
@@ -417,12 +427,9 @@ def from_json(obj: dict) -> InitialConditions:
             raise ValueError(f"explicit initial conditions need a u_fin list: {obj!r}")
         return explicit(as_point(p) for p in u_fin)
     kind = obj.get("preset")
-    if kind == "standard":
-        return standard(*_int_fields(obj, "n"))
-    if kind == "kleber":
-        return kleber(*_int_fields(obj, "i", "j", "k"))
-    if kind in ("gale_robinson", "gale-robinson"):
-        return gale_robinson(*_int_fields(obj, "p", "q", "r", "l"))
+    if isinstance(kind, str) and kind in PRESETS:
+        build, names = PRESETS[kind]
+        return build(*_int_fields(obj, *names))
     raise ValueError(f"unrecognized initial-conditions object: {obj!r}")
 
 

@@ -143,8 +143,10 @@ def gr_certificate(spec: GaleRobinsonSpec, l: int) -> GrCertificate:
     so ``spec.alpha`` etc. play no part.  The groves are counted as local-move
     masks, and no Grove is built.  The term itself, which the groves should
     number, bounds the enumeration: a term beyond ``_MAX_GROVES`` raises
-    TooLarge before any grove is counted.
+    TooLarge before any grove is counted.  A negative l raises ValueError.
     """
+    if l < 0:
+        raise ValueError(f"l must be >= 0, not {l}")
     value = gr_terms(GaleRobinsonSpec(spec.p, spec.q, spec.r), l + 1)[l]
     if value > _MAX_GROVES:
         raise groves.TooLarge(

@@ -24,22 +24,22 @@ only a failing run sorts, and only the masks that fail.
     injectivity   no two groves share a degree table
     rhombcount    window point and rhombus counts equal their closed forms
                   at five radii from the least cutoff
-    simplified    the even edges at min_odd_cutoff are distinct, and each
-                  simplified grove has (3N+5)/2 components
+    simplified    each simplified grove at min_odd_cutoff has (3N+5)/2
+                  components
     octahedron    the two-term specialization by the walk, by substitution
                   and by the balanced groves (n_a + n_b = n_c, edge
                   variables dropped)
 
 The quadrant sum is linear in the set of long edges, so coeffone checks the
-law once per window, for every set at once: the base grove's sums must all
-be 0, and each long edge must change the sum at its own rhombus by -1 and at
-every other rhombus by 0.  A grove that broke the law would break this
-check, so coeffone builds no grove, and it fails, naming the rhombi, only on
-a window where the law itself fails.  Distinct even edges likewise make the
-round trip through simplified groves the identity for every grove, since a
-grove whose round trip failed would have an even edge shared by two rhombi;
-simplified checks them once per window and per grove only counts
-components.  acyclic, degrees and simplified check the groves themselves.
+law once per window, for every set at once.  A long edge changes the sum by
+-1 at the rhombi that carry its edge variable and by 0 elsewhere, an
+identity of the coordinates; so the law holds for every set exactly when
+the base grove's sums are all 0 and no two window rhombi carry one
+variable.  coeffone checks those two facts, builds no grove, and fails,
+naming the rhombi, only on a window where the law itself fails.  The round
+trip through simplified groves is the identity for every grove, as an even
+edge fixes its rhombus, so simplified only counts each grove's components.
+acyclic, degrees and simplified check the groves themselves.
 
 run gives the report ``cuberec verify`` prints: one result per property and
 ideal, with its status (pass, fail or skipped), its witness and, for a skip,
@@ -119,8 +119,9 @@ def _prop_coeffone(ctx):
     The polynomial half catches a coefficient other than 1, such as a grove
     monomial counted twice.  The grove half (each rhombus's quadrant sum of
     degree - 2 is minus its bit) is linear in the mask, so it is checked once
-    on the minimal window, for every set of long edges (_Window.quadrant_fault);
-    no grove is built.  A grove breaking the law would break it there too.
+    on the minimal window, for every set of long edges: the base grove's sums
+    are 0, and no two rhombi carry one edge variable, which is all a long
+    edge's change depends on (_Window.quadrant_fault).  No grove is built.
     ``acyclic``, ``degrees`` and ``simplified`` check the groves themselves.
     """
     bad = [c for c in ctx.f_sym.coefficients() if c != 1]
@@ -165,21 +166,16 @@ def _prop_rhombcount(ctx):
 
 
 def _prop_simplified(ctx):
-    """Simplified groves: distinct even edges in the window, then each grove's component count.
+    """Each simplified grove at min_odd_cutoff has (3N+5)/2 components.
 
-    With distinct even edges, from_simplified inverts to_simplified on every
-    mask in the window, and a grove whose round trip failed would share an
-    even edge between two positions; so the round trip is checked once here.
-    Each grove's components are counted over window-index pairs
-    (_Window.even_components); no simplified grove is built.
+    The round trip through simplified groves needs no check: an even edge
+    fixes its rhombus, so from_simplified inverts to_simplified on every mask
+    (_Window.even_tables).  Each grove's components are counted over
+    window-index pairs (_Window.even_components); no simplified grove is
+    built.
     """
     N = ctx.ic.min_odd_cutoff
     window = groves._window(ctx.ic, N)
-    _, edges, even_bit, _ = window.even_tables
-    if len(even_bit) < len(edges):  # even_bit keeps each edge's last position
-        t = next(t for t, e in enumerate(edges) if even_bit[e] != 1 << t)
-        u = even_bit[edges[t]].bit_length() - 1
-        return f"rhombi {window.rhombi[t]} and {window.rhombi[u]} share the even edge {edges[t]}"
     want = (3 * N + 5) // 2
     m = ctx.first(lambda m: window.even_components(m) != want)
     if m is None:
@@ -262,12 +258,15 @@ def run(ics: Iterable[lattice.InitialConditions], props: Sequence[str] | None,
 
     The report is {"pass": ..., "results": [...]}, one result per ideal and
     property in that order.  A skipped property passes.  UnknownProperties,
-    a ValueError, names any property not in PROPERTIES before anything runs.
+    a ValueError, names any property not in PROPERTIES before anything runs,
+    and a negative brute_cap raises ValueError there too.
     """
     props = list(PROPERTIES) if props is None else list(props)
     unknown = [p for p in props if p not in PROPERTIES]
     if unknown:
         raise UnknownProperties(f"unknown properties {unknown}")
+    if brute_cap < 0:
+        raise ValueError(f"brute_cap must be >= 0, not {brute_cap}")
     results = []
     ok = True
     for ic in ics:

@@ -1,5 +1,6 @@
 """Command-line surface: outputs, formats, and exit codes."""
 
+import argparse
 import hashlib
 import io
 import json
@@ -215,6 +216,38 @@ def test_verify_run_refuses_unknown_properties():
     for props in (["imaginary"], ["oracle", "imaginary", "acyclic"], [""]):
         with pytest.raises(ValueError, match="unknown properties"):
             verify.run([lattice.standard(2)], props, 18)
+
+
+def test_verify_run_refuses_a_negative_brute_cap(monkeypatch):
+    # Refused before any property runs, so no property may be called.
+    def never(ctx):
+        raise AssertionError("a property ran with a negative brute cap")
+
+    for name in verify.PROPERTIES:
+        monkeypatch.setitem(verify.PROPERTIES, name, never)
+    for props in (["oracle"], None):
+        with pytest.raises(ValueError, match="brute_cap must be >= 0, not -1"):
+            verify.run([lattice.standard(2)], props, -1)
+
+
+def test_preset_and_json_forms_give_equal_ideals():
+    # One table serves --preset kind:a,b,... and {"preset": kind, ...}.
+    args = {lattice.standard: (3,), lattice.kleber: (2, 3, 2),
+            lattice.gale_robinson: (4, 1, 2, 11)}
+    assert set(lattice.PRESETS) == {"standard", "kleber", "gale-robinson", "gale_robinson"}
+    for kind, (build, names) in lattice.PRESETS.items():
+        values = args[build]
+        ic = build(*values)
+        assert cli._parse_preset(f"{kind}:{','.join(map(str, values))}") == ic, kind
+        assert lattice.from_json({"preset": kind, **dict(zip(names, values))}) == ic, kind
+    for spec in ("standard:3,1", "kleber:2,2", "gale_robinson:4,1,2", "diamond:1", "standard"):
+        with pytest.raises(argparse.ArgumentTypeError, match=(
+                f"^bad preset '{spec}'; expected standard:N, kleber:I,J,K, "
+                "or gale-robinson:P,Q,R,L$")):
+            cli._parse_preset(spec)
+    for obj in ({"preset": "diamond"}, {"preset": ["standard"], "n": 3}, {"n": 3}):
+        with pytest.raises(ValueError, match="^unrecognized initial-conditions object: "):
+            lattice.from_json(obj)
 
 
 def test_verify_builds_only_what_the_properties_read(monkeypatch, capsys):
@@ -595,21 +628,10 @@ def test_coeffone_witness_names_the_rhombi(monkeypatch):
     assert verify.PROPERTIES["coeffone"](ctx) is None
     window = groves._Window(ic, ic.min_cutoff)
     r = window.rhombi[0]
-    window.long_ends = [window.short_ends[0], *window.long_ends[1:]]
+    _, x, y = lattice._AXIS[r.axis]
+    p = next(i for i, q in enumerate(window.points) if q[x] < r.top[x] and q[y] < r.top[y])
+    window.base_degrees = window.base_degrees.copy()
+    window.base_degrees[p] += 1
     monkeypatch.setattr(groves, "_window", lambda ic, N: window)
     witness = verify.PROPERTIES["coeffone"](ctx)
-    assert witness == f"the long edge of {r} changes the quadrant sum at {r} by 0, expected -1"
-
-
-def test_simplified_witness_names_both_rhombi_of_a_shared_even_edge(monkeypatch):
-    ic = lattice.standard(3)
-    ctx = verify.Context(ic, 18)
-    assert verify.PROPERTIES["simplified"](ctx) is None
-    window = groves._Window(ic, ic.min_odd_cutoff)
-    flip, edges, _, even = window.even_tables
-    edges = [edges[0], edges[0], *edges[2:]]  # positions 0 and 1 share an even edge
-    window.even_tables = flip, edges, {e: 1 << t for t, e in enumerate(edges)}, even
-    monkeypatch.setattr(groves, "_window", lambda ic, N: window)
-    witness = verify.PROPERTIES["simplified"](ctx)
-    r, s = window.rhombi[:2]
-    assert witness == f"rhombi {r} and {s} share the even edge {edges[0]}"
+    assert witness == f"quadrant sum 1 at {r} in the base grove, expected 0"

@@ -40,6 +40,7 @@ from cuberec.laurent import (
     bvar,
     cvar,
     exps_from_items,
+    var_name,
     xvar,
 )
 from cuberec.lattice import CutoffNotOdd, InitialConditions, NotACutoff, Rhombus
@@ -331,6 +332,8 @@ def test_bruteforce_oracle():
     assert len(brute) == 9
     with pytest.raises(TooLarge):
         enumerate_bruteforce(lattice.standard(4))
+    with pytest.raises(ValueError, match="cap must be >= 0, not -1"):
+        enumerate_bruteforce(lattice.standard(2), cap=-1)
 
 
 def test_bruteforce_oracle_random_ics():
@@ -523,10 +526,14 @@ def test_quadrant_fault_names_the_rhombi_of_a_corrupted_window():
     window.base_degrees = window.base_degrees.copy()
     window.base_degrees[p] += 1
     assert window.quadrant_fault == f"quadrant sum 1 at {r} in the base grove, expected 0"
+    # Position 1 carries position 0's variable: its top moved one step down
+    # the free coordinate, after the base degrees were built from the sound rhombi.
     window = groves._Window(ic, ic.min_cutoff)
-    window.long_ends = [window.short_ends[0], *window.long_ends[1:]]
+    window.base_degrees = window.base_degrees.copy()
+    s = Rhombus(r.axis, lattice._sub(r.top, lattice._UNIT[lattice._AXIS[r.axis][0]]))
+    window.rhombi = (r, s, *window.rhombi[2:])
     assert window.quadrant_fault == (
-        f"the long edge of {r} changes the quadrant sum at {r} by 0, expected -1")
+        f"rhombi {r} and {s} carry one edge variable {var_name(r.variable())}")
 
 
 def test_simplified_roundtrip_and_components():

@@ -121,6 +121,9 @@ def test_spec_validation():
         GaleRobinsonSpec(0, 1, 1)
     with pytest.raises(ValueError):
         gr_symbolic(GaleRobinsonSpec(1, 1, 1), -2)
+    for l in (-1, -3):
+        with pytest.raises(ValueError, match=f"^l must be >= 0, not {l}$"):
+            gr_certificate(SOMOS7, l)
     assert SOMOS7.n == 7
 
 

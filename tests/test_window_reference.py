@@ -8,10 +8,14 @@ the window through contains_rhombus.  Both must give equal tuples, order
 included, in either order of asking.  height() reads the same depths; its
 reference is the walk down the line while the point is in u_fin.
 
-The coefficient-one law is checked packed, all rhombi at once; the ordered
-scan over them is the reference, on windows corrupted at random.  The
-simplified property counts components over window-index pairs;
-to_simplified and simplified_components are the reference.
+The coefficient-one window check reads only the base sums and the edge
+variables; the ordered scan over every rhombus and every long edge's change
+is the reference, on windows corrupted at random.  The half it leaves out
+is an identity, tested here on the window tables: a long edge changes the
+quadrant sum at t by -1 when it carries t's variable, else 0.  So is the
+distinctness of even edges.  The simplified property counts components over
+window-index pairs; to_simplified and simplified_components are the
+reference.
 """
 
 import itertools
@@ -152,20 +156,12 @@ def quadrant_scan(window):
 
 
 def corrupt(window, rng):
-    """Change one or two base degrees or edge ends of a window at random."""
+    """Change one or two base degrees of a window at random."""
     size = len(window.points)
     for _ in range(rng.randint(1, 2)):
-        kind = rng.randrange(3)
-        if kind == 0:
-            degrees = window.base_degrees.copy()
-            degrees[rng.randrange(size)] = rng.choice([0, 1, 3, 4, 6, 12, 40, 300])
-            window.base_degrees = degrees
-        else:
-            name = "long_ends" if kind == 1 else "short_ends"
-            ends = list(getattr(window, name))
-            t = rng.randrange(window.bits)
-            ends[t] = (rng.randrange(size), rng.randrange(size))
-            setattr(window, name, ends)
+        degrees = window.base_degrees.copy()
+        degrees[rng.randrange(size)] = rng.choice([0, 1, 3, 4, 6, 12, 40, 300])
+        window.base_degrees = degrees
 
 
 def test_packed_coeffone_check_names_what_the_scan_names():
@@ -183,16 +179,10 @@ def test_packed_coeffone_check_names_what_the_scan_names():
             want = quadrant_scan(window)
             assert window.quadrant_fault == want, ic
             kinds.add(want.split()[0] if want else None)
-    assert kinds == {"quadrant", "the", None}
+    assert kinds == {"quadrant", None}
 
 
-def test_packed_coeffone_check_passes_sound_windows_by_itself(monkeypatch):
-    # The scan answers whenever the packed check fails, so a wrong packing
-    # would still give None here; only the packed check may run.
-    def no_scan(window):
-        raise AssertionError(f"the packed check failed on a sound window of {window.ic}")
-
-    monkeypatch.setattr(groves._Window, "_quadrant_scan", no_scan)
+def test_packed_coeffone_check_passes_sound_windows_by_itself():
     rng = random.Random(2027)
     ideals = list(fixed_ideals().values()) + [random_ic(rng, depth) for depth in (2, 3, 4)
                                               for _ in range(20)]
@@ -203,8 +193,8 @@ def test_packed_coeffone_check_passes_sound_windows_by_itself(monkeypatch):
 
 def test_packed_coeffone_check_is_exact_where_narrow_fields_would_cancel():
     # Base degrees changed at two points by amounts whose quadrant sums,
-    # packed v bits wide, cancel: a width that ignored the sums' size would
-    # pass these windows, which the scan finds at fault.
+    # packed v bits wide, cancel: a check that packed the sums into fields
+    # that narrow would pass these windows, which the scan finds at fault.
     rng = random.Random(2026)
     for ic in (lattice.standard(4), lattice.kleber(2, 3, 2), lattice.gale_robinson(4, 1, 2, 13)):
         for v in (1, 2, 3, 4):
@@ -225,6 +215,46 @@ def test_packed_coeffone_check_is_exact_where_narrow_fields_would_cancel():
             window.base_degrees = degrees
             want = quadrant_scan(window)
             assert want is not None and window.quadrant_fault == want
+
+
+def quadrant_identity_holds(window):
+    """Every pair (t, u) of window positions: the long edge at u changes the
+    quadrant sum at t by -1 when the two carry one edge variable, else 0."""
+    points, rhombi = window.points, window.rhombi
+    ends = list(zip(window.long_ends, window.short_ends))
+    for r in rhombi:
+        _, x, y = _AXIS[r.axis]
+        inside = [p[x] < r.top[x] and p[y] < r.top[y] for p in points]
+        v = r.variable()
+        for s, ((a, b), (c, d)) in zip(rhombi, ends):
+            if inside[a] + inside[b] - inside[c] - inside[d] != -(s.variable() == v):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", fixed_ideals())
+def test_a_long_edge_changes_only_the_quadrant_sums_of_its_variable_on_fixed_ideals(name):
+    ic = fixed_ideals()[name]
+    for N in (ic.min_cutoff, ic.min_cutoff + 2):
+        assert quadrant_identity_holds(groves._window(ic, N)), N
+
+
+def test_a_long_edge_changes_only_the_quadrant_sums_of_its_variable_on_random_ideals():
+    for ic in random_ideals():
+        for N in (ic.min_cutoff, ic.min_cutoff + 2):
+            assert quadrant_identity_holds(groves._window(ic, N)), (ic, N)
+
+
+def test_even_edges_are_distinct():
+    # An even edge fixes its rhombus, so no two rhombi share one, in the
+    # cube of tops and in the windows the simplified property reads.
+    cube = itertools.product(range(-7, 1), repeat=3)
+    rhombi = [Rhombus(axis, top) for top in cube for axis in AXES]
+    edges = {r.short_edge() if sum(r.top) % 2 == 0 else r.long_edge() for r in rhombi}
+    assert len(edges) == len(rhombi) == 1536
+    for ic in fixed_ideals().values():
+        _, edges, even_bit, _ = groves._window(ic, ic.min_odd_cutoff).even_tables
+        assert len(even_bit) == len(edges), ic
 
 
 def test_simplified_property_counts_what_simplified_components_counts():
