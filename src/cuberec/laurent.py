@@ -34,7 +34,10 @@ stored exponent lies in [-H, H), H = 2**(w-2).  So:
 
 A product with a key out of range is re-encoded at twice the width, so
 exponents are unbounded and exact.  A new variable never changes an existing
-key.  Int order on keys is lex order with the last interned variable most
+key.  A variable v to a power e in [-64, 64) is the key e << (8 * field(v))
+at the starting width, made without an exponent map; a monomial's key is
+the sum of e_i << (w * field(v_i)) at the narrowest width w that holds its
+exponents.  Int order on keys is lex order with the last interned variable most
 significant; exact division runs over it (``div_exact``).  Keys are decoded
 only where exponents are read out, and ``terms()`` (so ``to_json`` and
 ``__str__``) sorts them canonically, so the JSON bytes do not depend on the
@@ -166,6 +169,7 @@ def exps_from_items(items: Iterable[tuple[VarKey, int]]) -> Exps:
 _field: dict[VarKey, int] = {}  # each variable's field index, fixed at first use
 _variables: list[VarKey] = []  # the variable of each field
 _W0 = 8  # the width a polynomial is stored at unless an exponent needs more
+_H0 = 1 << (_W0 - 2)  # its stored exponents are those in [-_H0, _H0)
 _FORMATS = {8: "B", 16: "H", 32: "I", 64: "Q"}  # native unsigned ints of each width
 _mask_cache: dict[int, tuple[int, int, int]] = {}
 
@@ -205,13 +209,6 @@ def _digits(u: int, w: int):
         return memoryview(u.to_bytes(n * w // 8, sys.byteorder)).cast(fmt)
     mask = (1 << w) - 1
     return [(u >> (w * f)) & mask for f in range(n)]
-
-
-def _packed(items: Iterable[tuple[Exps, int]]) -> tuple[dict[int, int], int]:
-    """The key dict and width of (exponent map, coefficient) pairs with distinct maps."""
-    items = list(items)
-    w = _width_for(x for e, _ in items for _, x in e)
-    return {LaurentPoly._key(e, w): c for e, c in items}, w
 
 
 def _reencode(terms: dict[int, int], w: int, w2: int) -> dict[int, int]:
@@ -277,7 +274,9 @@ class LaurentPoly:
         for coeff, exps in terms:
             e = exps_from_items(exps)
             data[e] = data.get(e, 0) + coeff
-        self._terms, self._w = _packed((e, c) for e, c in data.items() if c)
+        items = [(e, c) for e, c in data.items() if c]
+        self._w = w = _width_for(x for e, _ in items for _, x in e)
+        self._terms = {LaurentPoly._key(e, w): c for e, c in items}
 
     @staticmethod
     def _raw(data: dict[int, int], w: int = _W0) -> "LaurentPoly":
@@ -310,13 +309,17 @@ class LaurentPoly:
 
     @classmethod
     def variable(cls, v: VarKey, exp: int = 1, coeff: int = 1) -> "LaurentPoly":
+        if coeff and exp and -_H0 <= exp < _H0:  # its key, at the starting width
+            return cls._raw({exp << (_W0 * _intern(v)): coeff})
         return cls.monomial(coeff, [(v, exp)])
 
     @classmethod
     def monomial(cls, coeff: int, exps: Iterable[tuple[VarKey, int]]) -> "LaurentPoly":
         if coeff == 0:
             return cls.zero()
-        return cls._raw(*_packed([(exps_from_items(exps), coeff)]))
+        e = exps_from_items(exps)
+        w = _width_for(map(_exponent, e))
+        return cls._raw({cls._key(e, w): coeff}, w)
 
     def _at(self, w: int) -> dict[int, int]:
         """The terms at width w, which is at least the stored width."""
@@ -588,6 +591,35 @@ def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
                 del R[k]
     # Quotient digits lie in the box, within [-2**(w-1), 2**(w-1)).
     return _checked(Q, w)
+
+
+def quotient_of_products(terms, den: LaurentPoly) -> LaurentPoly:
+    """The sum of ``coeff * v1 * v2`` over ``terms``, divided exactly by ``den``.
+
+    The recurrence step in one pass.  Each coeff, a polynomial or an int, is
+    multiplied into the smaller of its two factors, and all the products go
+    into one dict, checked once at the end: a product of two stored keys has
+    digits in [-2**(w-1), 2**(w-1)).  The sum is divided by ``den`` with
+    ``div_exact``, so a zero ``den`` raises DivisionByZero.
+    """
+    scaled = []
+    for coeff, v1, v2 in terms:
+        small, big = (v1, v2) if len(v1) <= len(v2) else (v2, v1)
+        scaled.append((coeff * small, big))
+    w = max((p._w for pair in scaled for p in pair), default=_W0)
+    out: dict[int, int] = {}
+    get = out.get
+    for small, big in scaled:
+        big = big._at(w)
+        for k2, c2 in small._at(w).items():
+            for k1, c1 in big.items():
+                k = k1 + k2
+                s = get(k, 0) + c1 * c2
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return div_exact(_checked(out, w), den)
 
 
 def substitute(p: LaurentPoly, v: VarKey, value: "LaurentPoly | int") -> LaurentPoly:

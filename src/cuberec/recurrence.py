@@ -24,13 +24,15 @@ the peel sequence (_walk); only the ring's step differs.  In every mode, abc
 included, the walk runs in the ring the answer lives in: abc mode walks with
 alpha, beta and gamma, never through the edge variables.  A step sums the
 coefficient-weighted neighbour products and divides exactly by the diagonal
-value: over Laurent polynomials with products, sums and ``div_exact``
-(_laurent_step), over rationals with one kernel on reduced (numerator,
-denominator) int pairs (_rational_step), which sums over the least common
-denominator, needs one ``divmod`` per step and a ``gcd`` only when that
-leaves a remainder.  f_numeric converts each assigned value to a pair once
-and the origin value back to a Fraction at the end.  The one-dimensional
-Gale-Robinson recursion in ``sequences`` takes the same two steps.
+value, with one kernel per ring.  Over Laurent polynomials it is
+``laurent.quotient_of_products``, one pass over packed keys: the three
+products go into one dict and ``div_exact`` divides the sum once.  Over
+rationals it is a kernel on reduced (numerator, denominator) int pairs
+(_rational_step), which sums over the least common denominator, needs one
+``divmod`` per step and a ``gcd`` only when that leaves a remainder.  f_numeric converts each assigned value
+to a pair once and the origin value back to a Fraction at the end.  The
+one-dimensional Gale-Robinson recursion in ``sequences`` takes the same two
+steps.
 f_via_substitution is kept independent of that walk, so it checks
 f_symbolic: it starts from the trivial ideal and, along the reversed peel
 sequence, replaces each restored point's variable by its recurrence step,
@@ -71,7 +73,6 @@ from .laurent import (
     avar,
     bvar,
     cvar,
-    div_exact,
     xvar,
 )
 from .lattice import InitialConditions, Point3
@@ -146,21 +147,6 @@ def _check_mode(mode, *extra) -> None:
     if not (mode in (MODE_EDGE_VARS, MODE_ABC, MODE_SHIFT_OCTA, *extra)
             or isinstance(mode, CustomMode)):
         raise ValueError(f"unsupported mode {mode!r}")
-
-
-def _laurent_step(terms, den: LaurentPoly) -> LaurentPoly:
-    """The sum of ``coeff * v1 * v2`` over ``terms``, divided exactly by ``den``.
-
-    A zero ``den`` raises ZeroDivisionError, which the callers name.
-    """
-    if not den:
-        raise ZeroDivisionError("division by the zero polynomial")
-    num = 0
-    for coeff, v1, v2 in terms:
-        product = coeff * v1 * v2
-        # The sum starts at the first product; adding that to 0 would copy it.
-        num = num + product if num else product
-    return div_exact(num, den) if num else LaurentPoly.zero()
 
 
 def _rational_step(terms, den: tuple[int, int]) -> tuple[int, int]:
@@ -257,7 +243,7 @@ def f_symbolic(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPoly:
         ic,
         lambda p: LaurentPoly.variable(xvar(*p)),
         lambda w: _coeffs(w, mode, LaurentPoly.variable),
-        _laurent_step,
+        laurent.quotient_of_products,
     )
 
 

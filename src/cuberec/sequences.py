@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import groves, lattice, recurrence
+from . import groves, lattice, laurent, recurrence
 from .laurent import (
     ALPHA,
     BETA,
@@ -57,7 +57,7 @@ def _gr_extend(spec: GaleRobinsonSpec, terms: list, coeffs, count: int, step) ->
     """Extend the n initial ``terms`` in place to ``count`` terms of the recurrence.
 
     ``coeffs`` are alpha, beta, gamma in the ring of the terms and ``step`` is
-    that ring's recurrence step (``recurrence._laurent_step`` or
+    that ring's recurrence step (``laurent.quotient_of_products`` or
     ``recurrence._rational_step``); a ``count`` below n keeps the first
     ``count`` initial terms.
     """
@@ -108,7 +108,7 @@ def gr_symbolic(spec: GaleRobinsonSpec, l: int) -> LaurentPoly:
         raise ValueError(f"l must be >= 0, not {l}")
     terms = [LaurentPoly.variable(yvar(m)) for m in range(spec.n)]
     coeffs = tuple(LaurentPoly.variable(v) for v in (ALPHA, BETA, GAMMA))
-    return _gr_extend(spec, terms, coeffs, l + 1, recurrence._laurent_step)[l]
+    return _gr_extend(spec, terms, coeffs, l + 1, laurent.quotient_of_products)[l]
 
 
 def gr_renamed_cube_poly(spec: GaleRobinsonSpec, l: int) -> LaurentPoly:

@@ -164,7 +164,7 @@ def corrupt(window, rng):
         window.base_degrees = degrees
 
 
-def test_packed_coeffone_check_names_what_the_scan_names():
+def test_coeffone_window_check_names_what_the_scan_names():
     rng = random.Random(2024)
     ideals = [lattice.standard(n) for n in range(1, 6)] + [lattice.kleber(2, 3, 2)]
     ideals += [random_ic(rng, depth) for depth in (2, 3) for _ in range(10)]
@@ -182,7 +182,7 @@ def test_packed_coeffone_check_names_what_the_scan_names():
     assert kinds == {"quadrant", None}
 
 
-def test_packed_coeffone_check_passes_sound_windows_by_itself():
+def test_coeffone_window_check_passes_sound_windows_by_itself():
     rng = random.Random(2027)
     ideals = list(fixed_ideals().values()) + [random_ic(rng, depth) for depth in (2, 3, 4)
                                               for _ in range(20)]
@@ -191,7 +191,7 @@ def test_packed_coeffone_check_passes_sound_windows_by_itself():
             assert groves._Window(ic, N).quadrant_fault is None, (ic, N)
 
 
-def test_packed_coeffone_check_is_exact_where_narrow_fields_would_cancel():
+def test_coeffone_window_check_is_exact_where_narrow_fields_would_cancel():
     # Base degrees changed at two points by amounts whose quadrant sums,
     # packed v bits wide, cancel: a check that packed the sums into fields
     # that narrow would pass these windows, which the scan finds at fault.
