@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Iterable
 
 from . import groves, lattice, laurent, recurrence, render, sequences, verify
@@ -136,8 +135,7 @@ def cmd_sequence(args) -> int:
         raise _usage_error("--certify-up-to must be >= 0")
     p, q, r = args.gr
     try:
-        coeffs = Fraction(args.alpha), Fraction(args.beta), Fraction(args.gamma)
-        spec = sequences.GaleRobinsonSpec(p, q, r, *coeffs)
+        spec = sequences.GaleRobinsonSpec(p, q, r, args.alpha, args.beta, args.gamma)
         terms = sequences.gr_terms(spec, args.count)
     except (ValueError, ZeroDivisionError) as exc:
         raise _usage_error(f"sequence: {exc}")

@@ -32,19 +32,23 @@ stored exponent lies in [-H, H), H = 2**(w-2).  So:
   bit of every field, is zero exactly when every digit is in range.  The
   same top bits compare all fields of two keys at once (``_extremes``).
 
-A product with a key out of range is re-encoded at twice the width, so
-exponents are unbounded and exact.  A new variable never changes an existing
-key.  A variable v to a power e in [-64, 64) is the key e << (8 * field(v))
-at the starting width, made without an exponent map; a monomial's key is
-the sum of e_i << (w * field(v_i)) at the narrowest width w that holds its
-exponents.  Int order on keys is lex order with the last interned variable most
+Products of polynomials are summed by one loop, ``_sum_of_products``: ``*``
+(unless a factor has one term, which shifts every key by its own), the
+recurrence step (``quotient_of_products``) and ``substitute`` pass it their
+pairs of factors, and it adds the keys of every two terms into one dict.  A
+sum with a key out of range is re-encoded at twice the width, so exponents are
+unbounded and exact.  A new variable never changes an existing key.  A
+variable v to a power e in [-64, 64) is the key e << (8 * field(v)) at the
+starting width, made without an exponent map; a monomial's key is the sum of
+e_i << (w * field(v_i)) at the narrowest width w that holds its exponents.
+Int order on keys is lex order with the last interned variable most
 significant; exact division runs over it (``div_exact``).  Keys are decoded
 only where exponents are read out, and ``terms()`` (so ``to_json`` and
 ``__str__``) sorts them canonically, so the JSON bytes do not depend on the
 interning order; ``==`` and ``hash`` do not depend on the width.  Packed
 exponents and division over int order follow Monagan and Pearce ("Polynomial
-division using dynamic arrays, heaps, and packed exponent vectors", CASC
-2007; "Sparse polynomial division using a heap", 2011).
+division using dynamic arrays, heaps, and packed exponent vectors", CASC 2007;
+"Sparse polynomial division using a heap", 2011).
 
 All values are immutable after construction and every operation is pure.
 """
@@ -395,7 +399,8 @@ class LaurentPoly:
             return hash(terms.get(0, 0))
         if self._w > _W0:  # equal polynomials hash alike at the narrowest width
             narrow = _width_for(x for e, _ in self._decoded() for _, x in e)
-            terms = _reencode(terms, self._w, narrow)
+            if narrow < self._w:
+                terms = _reencode(terms, self._w, narrow)
         return hash(frozenset(terms.items()))
 
     def __neg__(self) -> "LaurentPoly":
@@ -438,26 +443,13 @@ class LaurentPoly:
             return LaurentPoly._raw({k: c * other for k, c in self._terms.items()}, self._w)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
+        small, big = (self, other) if len(self._terms) <= len(other._terms) else (other, self)
+        if len(small._terms) != 1:
+            return _sum_of_products([(small, big)])
+        # A monomial shifts every key by the same amount: no two products meet.
         w = max(self._w, other._w)
-        big, small = self._at(w), other._at(w)
-        if len(big) < len(small):
-            big, small = small, big
-        if len(small) == 1:
-            # A monomial shifts every key by the same amount: no two products meet.
-            ((k2, c2),) = small.items()
-            return _checked({k + k2: c * c2 for k, c in big.items()}, w)
-        out: dict[int, int] = {}
-        get = out.get
-        pairs = list(small.items())
-        for k1, c1 in big.items():
-            for k2, c2 in pairs:
-                k = k1 + k2
-                s = get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return _checked(out, w)
+        ((k2, c2),) = small._at(w).items()
+        return _checked({k + k2: c * c2 for k, c in big._at(w).items()}, w)
 
     __rmul__ = __mul__
 
@@ -593,25 +585,22 @@ def div_exact(p: LaurentPoly, d: LaurentPoly) -> LaurentPoly:
     return _checked(Q, w)
 
 
-def quotient_of_products(terms, den: LaurentPoly) -> LaurentPoly:
-    """The sum of ``coeff * v1 * v2`` over ``terms``, divided exactly by ``den``.
+def _sum_of_products(pairs: Iterable[tuple[LaurentPoly, LaurentPoly]]) -> LaurentPoly:
+    """The sum of ``a * b`` over the (a, b) pairs: the module's one product loop.
 
-    The recurrence step in one pass.  Each coeff, a polynomial or an int, is
-    multiplied into the smaller of its two factors, and all the products go
-    into one dict, checked once at the end: a product of two stored keys has
-    digits in [-2**(w-1), 2**(w-1)).  The sum is divided by ``den`` with
-    ``div_exact``, so a zero ``den`` raises DivisionByZero.
+    All the term products go into one dict, the smaller factor's terms
+    outermost, and the sum is checked once at the end: a product of two
+    stored keys has digits in [-2**(w-1), 2**(w-1)), which ``_checked`` takes.
     """
-    scaled = []
-    for coeff, v1, v2 in terms:
-        small, big = (v1, v2) if len(v1) <= len(v2) else (v2, v1)
-        scaled.append((coeff * small, big))
-    w = max((p._w for pair in scaled for p in pair), default=_W0)
+    pairs = list(pairs)
+    w = max([p._w for pair in pairs for p in pair], default=_W0)
     out: dict[int, int] = {}
     get = out.get
-    for small, big in scaled:
-        big = big._at(w)
-        for k2, c2 in small._at(w).items():
+    for a, b in pairs:
+        small, big = a._at(w), b._at(w)
+        if len(small) > len(big):
+            small, big = big, small
+        for k2, c2 in small.items():
             for k1, c1 in big.items():
                 k = k1 + k2
                 s = get(k, 0) + c1 * c2
@@ -619,7 +608,23 @@ def quotient_of_products(terms, den: LaurentPoly) -> LaurentPoly:
                     out[k] = s
                 else:
                     del out[k]
-    return div_exact(_checked(out, w), den)
+    return _checked(out, w)
+
+
+def quotient_of_products(terms, den: LaurentPoly) -> LaurentPoly:
+    """The sum of ``coeff * v1 * v2`` over ``terms``, divided exactly by ``den``.
+
+    The recurrence step in one pass.  Each coeff, a polynomial or an int, is
+    multiplied into the smaller of its two factors, and the products are
+    summed into one dict by ``_sum_of_products``, the loop ``*`` runs.  The
+    sum is divided by ``den`` with ``div_exact``, so a zero ``den`` raises
+    DivisionByZero.
+    """
+    pairs = []
+    for coeff, v1, v2 in terms:
+        small, big = (v1, v2) if len(v1) <= len(v2) else (v2, v1)
+        pairs.append((coeff * small, big))
+    return div_exact(_sum_of_products(pairs), den)
 
 
 def substitute(p: LaurentPoly, v: VarKey, value: "LaurentPoly | int") -> LaurentPoly:
@@ -627,10 +632,12 @@ def substitute(p: LaurentPoly, v: VarKey, value: "LaurentPoly | int") -> Laurent
 
     With p the sum of part_e * v**e over the exponents e of v, the result is
     the sum of part_e * value**e.  Negative exponents are cleared by
-    multiplying through by value**shift, where -shift is the least e, and
-    divided out once at the end with div_exact.  A result that is not a
-    Laurent polynomial raises NonzeroRemainder; a zero value under a negative
-    exponent raises DivisionByZero.
+    multiplying through by value**shift, where -shift is the least e: the
+    products part_e * value**(e+shift) are summed into one dict by
+    ``_sum_of_products``, and value**shift is divided out once at the end
+    with div_exact.  A result that is not a Laurent polynomial raises
+    NonzeroRemainder; a zero value under a negative exponent raises
+    DivisionByZero.
     """
     if isinstance(value, int):
         value = LaurentPoly.constant(value)
@@ -646,11 +653,8 @@ def substitute(p: LaurentPoly, v: VarKey, value: "LaurentPoly | int") -> Laurent
             exp = (((k + bias) >> at) & mask) - h
             groups.setdefault(exp, {})[k - (exp << at)] = c
     shift = max(0, -min(groups, default=0))
-    # One summand per exponent of v, a handful, so summing them copies each
-    # term a bounded number of times.
-    assembled = sum(
-        (LaurentPoly._raw(part, w) * value ** (e + shift) for e, part in groups.items()),
-        LaurentPoly.zero(),
+    assembled = _sum_of_products(
+        (LaurentPoly._raw(part, w), value ** (e + shift)) for e, part in groups.items()
     )
     return div_exact(assembled, value**shift) if shift else assembled
 

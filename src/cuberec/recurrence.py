@@ -25,11 +25,12 @@ included, the walk runs in the ring the answer lives in: abc mode walks with
 alpha, beta and gamma, never through the edge variables.  A step sums the
 coefficient-weighted neighbour products and divides exactly by the diagonal
 value, with one kernel per ring.  Over Laurent polynomials it is
-``laurent.quotient_of_products``, one pass over packed keys: the three
-products go into one dict and ``div_exact`` divides the sum once.  Over
-rationals it is a kernel on reduced (numerator, denominator) int pairs
-(_rational_step), which sums over the least common denominator, needs one
-``divmod`` per step and a ``gcd`` only when that leaves a remainder.  f_numeric converts each assigned value
+``laurent.quotient_of_products``: the three products go into one dict
+through ``laurent``'s one product loop, the loop ``*`` runs too, and
+``div_exact`` divides the sum once.  Over rationals it is a kernel on
+reduced (numerator, denominator) int pairs (_rational_step), which sums over
+the least common denominator, needs one ``divmod`` per step and a ``gcd``
+only when that leaves a remainder.  f_numeric converts each assigned value
 to a pair once and the origin value back to a Fraction at the end.  The
 one-dimensional Gale-Robinson recursion in ``sequences`` takes the same two
 steps.
@@ -39,16 +40,18 @@ sequence, replaces each restored point's variable by its recurrence step,
 the three-term numerator over the diagonal predecessor's variable, with one
 ``laurent.substitute``.  By the Laurent phenomenon every intermediate result
 is a Laurent polynomial, so the exact division inside each substitution
-never leaves a remainder.  In abc mode it substitutes with edge variables
-and collapses them with abc_from_edge_vars at the end, so the direct abc
-walk is checked by a route that shares neither its coefficients nor its
-walk.  f_numeric is checked by the Gale-Robinson recursion, which shares its
-rational kernel but not its walk, and by evaluating f_symbolic's polynomial,
-which shares no rational step with it: Laurent arithmetic, then
-``laurent.evaluate``'s sum over one common denominator.  The two-term
-specialization, the octahedron recurrence in the coordinates (i+j, i-k,
-j-k), is the walk in shift-octa mode; octahedron_check compares it with
-substitution in the same mode.
+never leaves a remainder.  The two routes share ``laurent``'s product loop
+and ``div_exact``, but neither the walk nor its step; the grove sum and
+f_numeric check the walk's polynomial without either.  In abc mode it
+substitutes with edge variables and collapses them with abc_from_edge_vars
+at the end, so the direct abc walk is checked by a route that shares neither
+its coefficients nor its walk.  f_numeric is checked by the Gale-Robinson
+recursion, which shares its rational kernel but not its walk, and by
+evaluating f_symbolic's polynomial, which shares no rational step with it:
+Laurent arithmetic, then ``laurent.evaluate``'s sum over one common
+denominator.  The two-term specialization, the octahedron recurrence in the
+coordinates (i+j, i-k, j-k), is the walk in shift-octa mode;
+octahedron_check compares it with substitution in the same mode.
 """
 
 from __future__ import annotations

@@ -109,6 +109,32 @@ def test_substitute_by_laurent_polynomials():
             assert evaluate(result, a) == evaluate(p, a | {X: at_value})
 
 
+def test_substitute_sums_every_exponent_group_at_once():
+    # The parts of every exponent of X meet in one sum, where they may cancel.
+    x, y, z = v(X), v(Y), v(avar(0, 0))
+    assert substitute((x - y) ** 2, X, y) == 0
+    assert substitute((x - y) * z * v(X, -1), X, y) == 0
+    # value = unit monomial * P, and the part under X**e for e < 0 is a
+    # multiple of P**-e, so the result is a Laurent polynomial.
+    rng = random.Random(27)
+    pool = [Y, avar(0, 0), T]
+    P = y + v(T, 2) - 1
+    value = v(Y, -1) * P
+    for _ in range(10):
+        parts = {e: LaurentPoly.zero() for e in range(-2, 4)}
+        for e in parts:
+            while not parts[e]:
+                parts[e] = _random_poly(rng, pool) * P ** max(0, -e)
+        p = sum((part * v(X, e) for e, part in parts.items()), LaurentPoly.zero())
+        assert {dict(m.exps).get(X, 0) for m in p.terms()} == set(parts)
+        result = substitute(p, X, value)
+        for _ in range(3):
+            a = {var: Fraction(rng.randint(1, 7), rng.randint(1, 5)) for var in pool}
+            at_value = evaluate(value, a)
+            if at_value:
+                assert evaluate(result, a) == evaluate(p, a | {X: at_value})
+
+
 def test_substitute_zero_under_negative_power():
     assert substitute(v(X, 2) + v(Y), X, 0) == v(Y)
     with pytest.raises(laurent.DivisionByZero):

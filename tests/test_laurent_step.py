@@ -2,9 +2,10 @@
 
 ``laurent.quotient_of_products`` is the one kernel of ``f_symbolic`` and
 ``gr_symbolic``: it sums coeff * v1 * v2 over its terms into one dict and
-divides exactly by the diagonal value.  The reference multiplies each product out, sums with ``+``
-and divides with ``div_exact``.  Both must give equal polynomials, or the
-same NonzeroRemainder, counted once.
+divides exactly by the diagonal value.  The reference multiplies each product
+out from decoded exponent maps (``reference_product``, which shares no loop
+with the product kernel) and divides with ``div_exact``.  Both must give equal
+polynomials, or the same NonzeroRemainder, counted once.
 """
 
 import json
@@ -31,16 +32,17 @@ from cuberec.laurent import (
     xvar,
     yvar,
 )
+from test_product_reference import reference_product
 
 POOL = [xvar(0, 0, 0), xvar(-1, 0, 0), avar(0, -1), T, ALPHA, BETA]
 
 
 def unfused_step(terms, den):
-    """The reference: each product a polynomial, summed with ``+``, then ``div_exact``."""
-    num = LaurentPoly.zero()
-    for coeff, v1, v2 in terms:
-        num = num + coeff * v1 * v2
-    return div_exact(num, den)
+    """The reference: the products multiplied out as exponent maps, then ``div_exact``."""
+    # Adding to zero makes an int coeff a constant polynomial.
+    scaled = [(reference_product([(LaurentPoly.zero() + coeff, v1)]), v2)
+              for coeff, v1, v2 in terms]
+    return div_exact(reference_product(scaled), den)
 
 
 def outcome(step, terms, den):
