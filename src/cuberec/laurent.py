@@ -34,7 +34,8 @@ stored exponent lies in [-H, H), H = 2**(w-2).  So:
 
 Products of polynomials are summed by one loop, ``_sum_of_products``: ``*``
 (unless a factor has one term, which shifts every key by its own), the
-recurrence step (``quotient_of_products``) and ``substitute`` pass it their
+walk's recurrence step (``quotient_of_products``), ``substitute`` and the
+substitution route's step (``recurrence.f_via_substitution``) pass it their
 pairs of factors, and it adds the keys of every two terms into one dict.  A
 sum with a key out of range is re-encoded at twice the width, so exponents are
 unbounded and exact.  A new variable never changes an existing key.  A
@@ -398,7 +399,8 @@ class LaurentPoly:
         if terms.keys() <= {0}:
             return hash(terms.get(0, 0))
         if self._w > _W0:  # equal polynomials hash alike at the narrowest width
-            narrow = _width_for(x for e, _ in self._decoded() for _, x in e)
+            extremes = _extremes(terms, self._w)  # hold every field's widest exponents
+            narrow = _width_for(x for k in extremes for _, x in _exps_of(k, self._w))
             if narrow < self._w:
                 terms = _reencode(terms, self._w, narrow)
         return hash(frozenset(terms.items()))
@@ -454,16 +456,15 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "LaurentPoly":
+        """``self`` to the power n >= 0 by binary powering; ``p ** 0`` is one."""
         if n < 0:
             raise ValueError("negative powers of general polynomials are not defined")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n < 2:
+            return self if n else LaurentPoly.one()
+        # Binary powering down to the base itself, so one() is never a factor.
+        half = self ** (n >> 1)
+        square = half * half
+        return square * self if n & 1 else square
 
     def __reduce__(self):
         # Keys depend on this process's field order, so pickle exponent maps.
@@ -635,28 +636,30 @@ def substitute(p: LaurentPoly, v: VarKey, value: "LaurentPoly | int") -> Laurent
     multiplying through by value**shift, where -shift is the least e: the
     products part_e * value**(e+shift) are summed into one dict by
     ``_sum_of_products``, and value**shift is divided out once at the end
-    with div_exact.  A result that is not a Laurent polynomial raises
-    NonzeroRemainder; a zero value under a negative exponent raises
-    DivisionByZero.
+    with div_exact.  The powers of value, up to shift plus the greatest e
+    (and at least shift), are made once each, by one ``*`` from the last,
+    and the division reuses value**shift.  A result that is not a Laurent
+    polynomial raises NonzeroRemainder; a zero value under a negative
+    exponent raises DivisionByZero.
     """
     if isinstance(value, int):
         value = LaurentPoly.constant(value)
     w = p._w
-    f = _field.get(v)
+    f = _intern(v)  # if v is new, every key reads 0 in its field
+    bias, _ = _masks(w)
+    at, mask, h = w * f, (1 << w) - 1, 1 << (w - 2)
     groups: dict[int, dict[int, int]] = {}
-    if f is None:  # no polynomial has v yet
-        groups[0] = p._terms
-    else:
-        bias, _ = _masks(w)
-        at, mask, h = w * f, (1 << w) - 1, 1 << (w - 2)
-        for k, c in p._terms.items():
-            exp = (((k + bias) >> at) & mask) - h
-            groups.setdefault(exp, {})[k - (exp << at)] = c
+    for k, c in p._terms.items():
+        exp = (((k + bias) >> at) & mask) - h
+        groups.setdefault(exp, {})[k - (exp << at)] = c
     shift = max(0, -min(groups, default=0))
+    powers = [LaurentPoly.one(), value]  # powers[e] is value**e, each made once
+    while len(powers) <= shift + max([0, *groups]):
+        powers.append(powers[-1] * value)
     assembled = _sum_of_products(
-        (LaurentPoly._raw(part, w), value ** (e + shift)) for e, part in groups.items()
+        (LaurentPoly._raw(part, w), powers[e + shift]) for e, part in groups.items()
     )
-    return div_exact(assembled, value**shift) if shift else assembled
+    return div_exact(assembled, powers[shift]) if shift else assembled
 
 
 def evaluate(p: LaurentPoly, assign: Mapping[VarKey, "Fraction | int"]) -> Fraction:

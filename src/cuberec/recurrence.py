@@ -36,12 +36,16 @@ one-dimensional Gale-Robinson recursion in ``sequences`` takes the same two
 steps.
 f_via_substitution is kept independent of that walk, so it checks
 f_symbolic: it starts from the trivial ideal and, along the reversed peel
-sequence, replaces each restored point's variable by its recurrence step,
-the three-term numerator over the diagonal predecessor's variable, with one
-``laurent.substitute``.  By the Laurent phenomenon every intermediate result
-is a Laurent polynomial, so the exact division inside each substitution
-never leaves a remainder.  The two routes share ``laurent``'s product loop
-and ``div_exact``, but neither the walk nor its step; the grove sum and
+sequence, replaces each restored point's variable by its recurrence step
+with one ``laurent.substitute``.  The step, the sum of
+coeff * x(p1) * x(p2) / x(d), is one call of ``laurent``'s product loop on
+the pairs (coeff, x(p1) * x(p2) * x(d)**-1), and substitute makes each power
+of the step once, each from the last by one ``*``, so the route adds no
+polynomials and takes no ``**``.  By the Laurent phenomenon every
+intermediate result is a Laurent polynomial, so the exact division inside
+each substitution never leaves a remainder.  The two routes share
+``laurent``'s product loop and ``div_exact``, but neither the walk nor its
+step; the grove sum and
 f_numeric check the walk's polynomial without either.  In abc mode it
 substitutes with edge variables and collapses them with abc_from_edge_vars
 at the end, so the direct abc walk is checked by a route that shares neither
@@ -255,8 +259,10 @@ def f_via_substitution(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPol
 
     Starts from the single variable at the origin (the fully peeled ideal) and,
     for each restored point, replaces that point's variable by the recurrence
-    step, a Laurent polynomial over the diagonal predecessor's variable, with
-    ``laurent.substitute``.
+    step with ``laurent.substitute``.  The step is one call of the product
+    loop: each nonzero coefficient times the monomial x(p1) * x(p2) over the
+    diagonal predecessor's variable.  Shift-octa's coefficients are the
+    polynomial one, so that the loop multiplies polynomials only.
     """
     _check_mode(mode)
     if mode == MODE_ABC:
@@ -268,16 +274,16 @@ def f_via_substitution(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPol
             raise RecursionEscaped(p)
         return xvar(*p)
 
+    one = LaurentPoly.one()
     poly = LaurentPoly.variable(xvar(0, 0, 0))
     for w in reversed(ic.peel_sequence()):
         pairs, d = _neighbor_scheme(w)
-        numerator = LaurentPoly.zero()
-        for coeff, (p1, p2) in zip(_coeffs(w, mode, LaurentPoly.variable), pairs):
-            if coeff:
-                numerator = numerator + coeff * LaurentPoly.monomial(
-                    1, [(checked_xvar(p1), 1), (checked_xvar(p2), 1)]
-                )
-        step = numerator * LaurentPoly.variable(checked_xvar(d), -1)
+        step = laurent._sum_of_products(
+            (coeff, LaurentPoly.monomial(
+                1, [(checked_xvar(p1), 1), (checked_xvar(p2), 1), (checked_xvar(d), -1)]))
+            for coeff, (p1, p2) in zip(_coeffs(w, mode, LaurentPoly.variable, one=one), pairs)
+            if coeff
+        )
         poly = laurent.substitute(poly, xvar(*w), step)
     return poly
 

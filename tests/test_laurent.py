@@ -141,6 +141,74 @@ def test_substitute_zero_under_negative_power():
         substitute(v(X, -1) + v(Y), X, 0)
 
 
+def _recorded_products(monkeypatch):
+    """Patch ``*`` to record the operands of every product it takes."""
+    products = []
+    multiply = LaurentPoly.__mul__
+
+    def recorded(a, b):
+        products.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", recorded)
+    monkeypatch.setattr(LaurentPoly, "__rmul__", recorded)
+    return products
+
+
+def _forbidden(monkeypatch, *names):
+    """Patch the named LaurentPoly operators to fail the test if called."""
+    def fail(*args):
+        raise AssertionError("operator called")
+
+    for name in names:
+        monkeypatch.setattr(LaurentPoly, name, fail)
+
+
+@pytest.mark.parametrize("exponents", [
+    "new variable", "interned, exponent 0 only", (1, 2, 3), (-3, -2, -1), (-2, -1), (-1, 2),
+])
+def test_substitute_across_exponent_groups(exponents, monkeypatch):
+    # value = unit monomial * P, and the part under X**e for e < 0 is a
+    # multiple of P**-e, so the result is a Laurent polynomial.
+    rng = random.Random(str(exponents))
+    pool = [Y, avar(0, 0), T]
+    P = v(Y) + v(T, 2) - 1
+    value = v(Y, -1) * P
+    target = X
+    if exponents == "new variable":  # no polynomial has had it yet
+        target = laurent.yvar(10**6 + len(laurent._variables))
+        assert target not in laurent._field
+    for _ in range(8):
+        if isinstance(exponents, str):
+            parts = {0: _random_poly(rng, pool) + 1}
+        else:
+            parts = {e: LaurentPoly.zero() for e in exponents}
+            for e in parts:
+                while not parts[e]:
+                    parts[e] = _random_poly(rng, pool) * P ** max(0, -e)
+        p = sum((part * v(X, e) for e, part in parts.items()), LaurentPoly.zero())
+        assert {dict(m.exps).get(X, 0) for m in p.terms()} == set(parts)
+        # Each power of the value is made once, by one product with the value.
+        top = max(0, -min(parts)) + max(0, *parts)
+        products = _recorded_products(monkeypatch)
+        _forbidden(monkeypatch, "__add__", "__radd__", "__pow__")
+        result = substitute(p, target, value)
+        monkeypatch.undo()
+        assert [b for _, b in products] == [value] * max(0, top - 1)
+        assert len({a for a, _ in products}) == len(products)
+        if isinstance(exponents, str):
+            assert result == p
+        for _ in range(3):
+            a = {var: Fraction(rng.randint(1, 7), rng.randint(1, 5)) for var in pool}
+            at_value = evaluate(value, a)
+            if at_value:
+                assert evaluate(result, a) == evaluate(p, a | {X: at_value, target: at_value})
+    if min(parts) < 0:
+        for zero in (0, LaurentPoly.zero()):
+            with pytest.raises(laurent.DivisionByZero):
+                substitute(p, target, zero)
+
+
 def test_evaluate_examples():
     three_terms = v(avar(0, 0)) + v(avar(0, 1)) + v(avar(1, 1))
     ones = {avar(0, 0): 1, avar(0, 1): 1, avar(1, 1): 1}
@@ -191,6 +259,20 @@ def test_pow():
     p = v(X) + 1
     assert p**0 == LaurentPoly.one()
     assert p**3 == p * p * p
+
+
+def test_pow_is_binary_powering_from_the_base(monkeypatch):
+    p = v(X) - 2 * v(Y, -1) + 3
+    repeated = {0: LaurentPoly.one(), 1: p, 2: p * p, 5: p * p * p * p * p}
+    for n, expected in repeated.items():
+        products = _recorded_products(monkeypatch)
+        power = p**n
+        monkeypatch.undo()
+        assert power == expected
+        assert len(products) == {0: 0, 1: 0, 2: 1, 5: 3}[n]
+        assert not any(a == 1 or b == 1 for a, b in products)
+    with pytest.raises(ValueError):
+        p ** -1
 
 
 def test_var_name_roundtrip():
@@ -400,6 +482,24 @@ def test_equal_polynomials_hash_alike_across_widths():
     assert wide_p == p and hash(wide_p) == hash(p) and len({p, wide_p}) == 1
     assert wide_p != p + 1 and wide_p != p * big
     assert wide_p - p == 0 and not (wide_p - p)
+
+
+def test_polynomials_two_doublings_wide_hash_like_their_narrow_equals():
+    # The narrowest width comes from each field's least and greatest exponents;
+    # a boundary exponent in either direction decides it.
+    h = 2**14  # 16-bit fields hold [-h, h)
+    cases = [
+        (v(X, -h) + 3 * v(Y, 5) * v(X, 5) - 1, 16, 2**40),
+        (v(X, h) * v(Y, -2) - v(Y, 7), 32, 2**70),
+    ]
+    for narrow, width, e in cases:
+        assert narrow._w == width
+        wide = narrow * v(T, e) * v(T, -e)
+        assert wide._w == 4 * width
+        assert wide == narrow and hash(wide) == hash(narrow) and len({wide, narrow}) == 1
+        # The constructor stores decoded terms at their narrowest width.
+        rebuilt = LaurentPoly((m.coeff, m.exps) for m in wide.terms())
+        assert rebuilt._w == width and hash(wide) == hash(frozenset(rebuilt._terms.items()))
 
 
 def test_json_bytes_and_pickles_do_not_depend_on_interning_order():

@@ -139,6 +139,30 @@ def test_numeric_division_by_zero_reports_point():
     assert err.value.point == (-1, -1, -1)
 
 
+def test_substitution_steps_are_one_kernel_call_each(monkeypatch):
+    # No +, no ** and one product kernel call per restored point for its step,
+    # plus one inside its substitute.
+    ic = lattice.standard(4)
+    expected = f_symbolic(ic)
+    calls = []
+    kernel = laurent._sum_of_products
+
+    def counted(pairs):
+        calls.append(1)
+        return kernel(pairs)
+
+    def fail(*args):
+        raise AssertionError("operator called")
+
+    monkeypatch.setattr(laurent, "_sum_of_products", counted)
+    for name in ("__add__", "__radd__", "__pow__"):
+        monkeypatch.setattr(LaurentPoly, name, fail)
+    got = f_via_substitution(ic)
+    monkeypatch.undo()
+    assert got == expected
+    assert len(calls) == 2 * len(ic.peel_sequence())
+
+
 def test_escaped_recursion_raises():
     # Not upward closed: (-1,0,0) lies between the two points, so the step at
     # (-1,-1,-1) needs (-2,-1,-1), which is neither computed nor initial.
