@@ -23,8 +23,11 @@ so the base grove's degrees packed one byte per point, plus the packed
 changes of the set bits (summed eight bits at a time from subset tables),
 give a grove's degree table as one int (Knuth, TAOCP 4A 7.1.3).  Axis counts
 are popcounts.  The same holds for the monomial: it is the base grove's times
-a fixed step per set bit.  monomial_of and coeffone_sums decode it instead,
-as independent routes for the tests.
+a fixed step per set bit, held in one form only, as packed LaurentPoly keys
+that mask_sum adds; monomial_of is the single term of mask_sum over one
+mask, and coeffone_sums sums its x-exponents.  The tests check the monomial
+against a degree count read from the rhombi themselves and against the edge
+variables of the decoded long edges, neither of which reads the key tables.
 
 The coefficient-one law is linear in the mask, so it is checked once per
 window, not per grove (_Window.quadrant_fault).  Half of it is an identity of
@@ -73,7 +76,6 @@ from .laurent import (
     TAG_X,
     LaurentPoly,
     Monomial,
-    exps_from_items,
     var_name,
     xvar,
 )
@@ -149,12 +151,8 @@ class Grove:
 
     @cached_property
     def _monomial(self) -> Monomial:
-        """The base monomial times each set bit's step."""
-        window = _min_window(self)
-        items = list(window.base.exps)
-        for step in _at_bits(window.steps, self.mask):
-            items += step
-        return Monomial(1, exps_from_items(items))
+        """The single term of mask_sum over the grove's mask."""
+        return mask_sum(_min_window(self), [self.mask]).terms()[0]
 
 
 def _grove(ic: InitialConditions, mask: int) -> Grove:
@@ -378,26 +376,17 @@ class _Window:
         return degrees
 
     @cached_property
-    def base(self) -> Monomial:
-        """The base grove's monomial: x(p)**(degree-2) over the window points."""
-        pairs = zip(self.points, self.base_degrees)
-        return Monomial(1, tuple((xvar(*p), d - 2) for p, d in pairs if d != 2))
-
-    @cached_property
-    def steps(self) -> list[tuple]:
-        """What the long edge at each position multiplies the base monomial by."""
-        x = [xvar(*p) for p in self.points]
-        return [((r.variable(), 1), (x[a], 1), (x[b], 1), (x[c], -1), (x[d], -1))
-                for r, (a, b), (c, d) in zip(self.rhombi, self.long_ends, self.short_ends)]
-
-    @cached_property
     def base_key(self) -> int:
-        """base packed as a LaurentPoly key."""
-        return LaurentPoly._key(self.base.exps)
+        """The base grove's monomial, x(p)**(degree-2) over the window points, as a key."""
+        pairs = zip(self.points, self.base_degrees)
+        return LaurentPoly._key((xvar(*p), d - 2) for p, d in pairs if d != 2)
 
     @cached_property
     def step_keys(self) -> list[int]:
-        return [LaurentPoly._key(step) for step in self.steps]
+        """The key of what the long edge at each position multiplies the base monomial by."""
+        x = [xvar(*p) for p in self.points]
+        return [LaurentPoly._key(((r.variable(), 1), (x[a], 1), (x[b], 1), (x[c], -1), (x[d], -1)))
+                for r, (a, b), (c, d) in zip(self.rhombi, self.long_ends, self.short_ends)]
 
     @cached_property
     def degree_tables(self) -> tuple[int, list[list[int]]]:

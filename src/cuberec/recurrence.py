@@ -20,20 +20,25 @@ where the coefficient system depends on the mode:
     custom      A,B,C are fixed monomials in the indeterminate t
 
 Three evaluators are provided.  f_symbolic and f_numeric share one walk up
-the peel sequence (_walk); only the ring's step differs.  In every mode, abc
-included, the walk runs in the ring the answer lives in: abc mode walks with
-alpha, beta and gamma, never through the edge variables.  A step sums the
-coefficient-weighted neighbour products and divides exactly by the diagonal
-value, with one kernel per ring.  Over Laurent polynomials it is
-``laurent.quotient_of_products``: the three products go into one dict
-through ``laurent``'s one product loop, the loop ``*`` runs too, and
-``div_exact`` divides the sum once.  Over rationals it is a kernel on
-reduced (numerator, denominator) int pairs (_rational_step), which sums over
-the least common denominator, needs one ``divmod`` per step and a ``gcd``
-only when that leaves a remainder.  f_numeric converts each assigned value
-to a pair once and the origin value back to a Fraction at the end.  The
-one-dimensional Gale-Robinson recursion in ``sequences`` takes the same two
-steps.
+the peel sequence (_walk); only the ring's step differs.  It is the one walk
+of the three-term recurrence in the package: all five evaluators that walk
+run through it, f_symbolic, f_numeric, octahedron_check's direct side (the
+walk in shift-octa mode), and the one-dimensional Gale-Robinson recursion in
+``sequences`` (gr_terms, gr_symbolic), which walks its term indices with its
+own neighbours and initial values.  They differ in the points, neighbours,
+initial values, coefficients and step they pass, and the walk never asks
+which caller it serves.  In every mode, abc included, the walk runs in the
+ring the answer lives in: abc mode walks with alpha, beta and gamma, never
+through the edge variables.  A step sums the coefficient-weighted neighbour
+products and divides exactly by the diagonal value, with one kernel per
+ring.  Over Laurent polynomials it is ``laurent.quotient_of_products``: the
+three products go into one dict through ``laurent``'s one product loop, the
+loop ``*`` runs too, and ``div_exact`` divides the sum once.  Over rationals
+it is a kernel on reduced (numerator, denominator) int pairs
+(_rational_step), which sums over the least common denominator, needs one
+``divmod`` per step and a ``gcd`` only when that leaves a remainder.
+f_numeric converts each assigned value to a pair once and the origin value
+back to a Fraction at the end.
 f_via_substitution is kept independent of that walk, so it checks
 f_symbolic: it starts from the trivial ideal and, along the reversed peel
 sequence, replaces each restored point's variable by its recurrence step
@@ -45,17 +50,18 @@ polynomials and takes no ``**``.  By the Laurent phenomenon every
 intermediate result is a Laurent polynomial, so the exact division inside
 each substitution never leaves a remainder.  The two routes share
 ``laurent``'s product loop and ``div_exact``, but neither the walk nor its
-step; the grove sum and
-f_numeric check the walk's polynomial without either.  In abc mode it
-substitutes with edge variables and collapses them with abc_from_edge_vars
-at the end, so the direct abc walk is checked by a route that shares neither
-its coefficients nor its walk.  f_numeric is checked by the Gale-Robinson
-recursion, which shares its rational kernel but not its walk, and by
-evaluating f_symbolic's polynomial, which shares no rational step with it:
-Laurent arithmetic, then ``laurent.evaluate``'s sum over one common
-denominator.  The two-term specialization, the octahedron recurrence in the
-coordinates (i+j, i-k, j-k), is the walk in shift-octa mode;
-octahedron_check compares it with substitution in the same mode.
+step; the grove sum and f_numeric check the walk's polynomial without
+either.  In abc mode it substitutes with edge variables and collapses them
+with abc_from_edge_vars at the end, so the direct abc walk is checked by a
+route that shares neither its coefficients nor its walk.  f_numeric is
+checked by evaluating f_symbolic's polynomial, which shares no rational step
+with it: Laurent arithmetic, then ``laurent.evaluate``'s sum over one common
+denominator; that polynomial in turn equals the grove sum and substitution,
+which share no walk.  On Gale-Robinson ideals it equals gr_terms, which
+shares both its walk and its kernel, and which the tests check against the
+recursion in plain Fractions.  The two-term specialization, the octahedron
+recurrence in the coordinates (i+j, i-k, j-k), is the walk in shift-octa
+mode; octahedron_check compares it with substitution in the same mode.
 """
 
 from __future__ import annotations
@@ -202,28 +208,33 @@ def _as_pair(x: Fraction | int) -> tuple[int, int]:
     return (x.numerator, x.denominator)
 
 
-def _walk(ic: InitialConditions, leaf, coeffs, step):
-    """The origin value of the cube recurrence, in any ring.
+def _walk(points, scheme, initial, leaf, coeffs, step):
+    """The value function of a three-term recurrence, in any ring.
 
-    ``leaf(p)`` is the value at an initial point p, read once, ``coeffs(w)``
-    the three coefficients at w and ``step(terms, den)`` the sum of
+    Each point w of ``points`` is visited in order: ``scheme(w)`` gives its
+    three neighbour pairs and its diagonal predecessor d, ``coeffs(w)`` the
+    three coefficients, and ``step(terms, den)`` the sum of
     ``coeff * v1 * v2`` over the (coeff, v1, v2) ``terms`` divided exactly by
-    ``den``, raising ZeroDivisionError when ``den`` is zero.  Points of u_fin
-    are visited in peel order, so the eight values below each one are known
-    or initial.
+    ``den``, raising ZeroDivisionError when ``den`` is zero, which comes out
+    as DivisionByZeroDuringRecursion(d).  A point read before it is visited
+    must satisfy ``initial``, else RecursionEscaped; ``leaf(p)`` is its
+    value, read once.  The cube recurrence walks the peel sequence with
+    _neighbor_scheme, the Gale-Robinson recursion the indices n, n+1, ... of
+    its terms (``sequences``).  The returned function gives the value at any
+    visited or initial point.
     """
     memo = {}
 
-    def value(p: Point3):
+    def value(p):
         got = memo.get(p)
         if got is None:
-            if not ic.in_I(p):
+            if not initial(p):
                 raise RecursionEscaped(p)
             got = memo[p] = leaf(p)
         return got
 
-    for w in ic.peel_sequence():
-        pairs, d = _neighbor_scheme(w)
+    for w in points:
+        pairs, d = scheme(w)
         terms = [
             (coeff, value(p1), value(p2))
             for coeff, (p1, p2) in zip(coeffs(w), pairs)
@@ -235,7 +246,7 @@ def _walk(ic: InitialConditions, leaf, coeffs, step):
         except ZeroDivisionError:
             raise DivisionByZeroDuringRecursion(d) from None
 
-    return value((0, 0, 0))
+    return value
 
 
 def f_symbolic(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPoly:
@@ -247,11 +258,11 @@ def f_symbolic(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPoly:
     """
     _check_mode(mode)
     return _walk(
-        ic,
+        ic.peel_sequence(), _neighbor_scheme, ic.in_I,
         lambda p: LaurentPoly.variable(xvar(*p)),
         lambda w: _coeffs(w, mode, LaurentPoly.variable),
         laurent.quotient_of_products,
-    )
+    )((0, 0, 0))
 
 
 def f_via_substitution(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPoly:
@@ -353,11 +364,11 @@ def f_numeric(
         return (x[0] * y[0], x[1] * y[1]) if x and y else 0
 
     n, d = _walk(
-        ic,
+        ic.peel_sequence(), _neighbor_scheme, ic.in_I,
         lambda p: lookup(xvar(*p)),
         lambda w: _coeffs(w, mode, weight, mul, (1, 1)),
         _rational_step,
-    )
+    )((0, 0, 0))
     return Fraction(n, d)
 
 

@@ -7,11 +7,18 @@ A (p,q,r) specification defines the order-n recurrence, n = p+q+r:
                   + gamma * y[l+r] * y[l+n-r]
 
 Somos-6 is (1,2,3) and Somos-7 is (4,1,2), both with unit coefficients.
-Terms are computed by exact rational recursion; the certificate for a term
-independently enumerates the groves of the matching initial conditions and
-compares the count.  The term's full Laurent expansion (gr_symbolic) is the
-independent reference for the renamed cube-recurrence polynomial
-(gr_renamed_cube_poly).
+Terms are computed by exact rational recursion (gr_terms) and expanded as
+Laurent polynomials (gr_symbolic), both on the cube recurrence's walk,
+recurrence._walk: the points are the term indices n, n+1, ..., term m's
+neighbour pairs are (l+p, m-p), (l+q, m-q), (l+r, m-r) with diagonal
+predecessor l = m-n, and the indices below n are initial.  The certificate
+for a term independently enumerates the groves of the matching initial
+conditions and compares the count.  gr_symbolic is the reference for the
+renamed cube-recurrence polynomial (gr_renamed_cube_poly): the two share
+the walk's loop and its Laurent step, and differ in the points, neighbours
+and initial values, which is what the Gale-Robinson reduction maps.  The
+tests check both recursions against one written in plain Fractions, which
+shares neither the loop nor a kernel.
 """
 
 from __future__ import annotations
@@ -53,30 +60,26 @@ SOMOS6 = GaleRobinsonSpec(1, 2, 3)
 SOMOS7 = GaleRobinsonSpec(4, 1, 2)
 
 
-def _gr_extend(spec: GaleRobinsonSpec, terms: list, coeffs, count: int, step) -> list:
-    """Extend the n initial ``terms`` in place to ``count`` terms of the recurrence.
+def _gr_walk(spec: GaleRobinsonSpec, count: int, leaf, coeffs, step) -> list:
+    """The first ``count`` terms: recurrence._walk over the indices n..count-1.
 
-    ``coeffs`` are alpha, beta, gamma in the ring of the terms and ``step`` is
-    that ring's recurrence step (``laurent.quotient_of_products`` or
-    ``recurrence._rational_step``); a ``count`` below n keeps the first
-    ``count`` initial terms.
+    ``leaf(m)`` is initial term m < n, ``coeffs`` are alpha, beta, gamma in
+    the ring of the terms and ``step`` is that ring's recurrence step
+    (``laurent.quotient_of_products`` or ``recurrence._rational_step``).  A
+    zero divisor y_l raises ZeroDivisionError naming it; a ``count`` below n
+    gives the first ``count`` initial terms.
     """
     n, p, q, r = spec.n, spec.p, spec.q, spec.r
-    alpha, beta, gamma = coeffs
-    del terms[count:]
-    while len(terms) < count:
-        m = len(terms)
+
+    def scheme(m):
         l = m - n
-        products = (
-            (alpha, terms[l + p], terms[m - p]),
-            (beta, terms[l + q], terms[m - q]),
-            (gamma, terms[l + r], terms[m - r]),
-        )
-        try:
-            terms.append(step(products, terms[l]))
-        except ZeroDivisionError:
-            raise ZeroDivisionError(f"term y_{l} is zero") from None
-    return terms
+        return ((l + p, m - p), (l + q, m - q), (l + r, m - r)), l
+
+    try:
+        value = recurrence._walk(range(n, count), scheme, n.__gt__, leaf, lambda m: coeffs, step)
+    except recurrence.DivisionByZeroDuringRecursion as exc:
+        raise ZeroDivisionError(f"term y_{exc.point} is zero") from None
+    return [value(m) for m in range(count)]
 
 
 def gr_terms(
@@ -94,21 +97,23 @@ def gr_terms(
     if count < 0:
         raise ValueError(f"count must be >= 0, not {count}")
     coeffs = [recurrence._as_pair(c) for c in (spec.alpha, spec.beta, spec.gamma)]
-    _gr_extend(spec, terms, coeffs, count, recurrence._rational_step)
-    return [Fraction(num, den) for num, den in terms]
+    return [Fraction(num, den) for num, den in
+            _gr_walk(spec, count, terms.__getitem__, coeffs, recurrence._rational_step)]
 
 
 def gr_symbolic(spec: GaleRobinsonSpec, l: int) -> LaurentPoly:
     """Term y_l as an exact Laurent polynomial in y_0..y_{n-1}, alpha, beta, gamma.
 
-    Runs the one-dimensional recurrence directly with exact division; this is
-    the independent oracle for the cube-recurrence reduction.
+    Runs the one-dimensional recurrence through the cube recurrence's walk
+    with exact division; the cube-recurrence reduction it is compared with
+    (gr_renamed_cube_poly) differs in points, neighbours and initial values.
     """
     if l < 0:
         raise ValueError(f"l must be >= 0, not {l}")
-    terms = [LaurentPoly.variable(yvar(m)) for m in range(spec.n)]
     coeffs = tuple(LaurentPoly.variable(v) for v in (ALPHA, BETA, GAMMA))
-    return _gr_extend(spec, terms, coeffs, l + 1, laurent.quotient_of_products)[l]
+    terms = _gr_walk(spec, l + 1, lambda m: LaurentPoly.variable(yvar(m)), coeffs,
+                     laurent.quotient_of_products)
+    return terms[l]
 
 
 def gr_renamed_cube_poly(spec: GaleRobinsonSpec, l: int) -> LaurentPoly:

@@ -433,6 +433,7 @@ def test_window_views_agree_on_random_ics():
             assert grove_degrees(g) == count, (ic, g)
             x_part = {v[1:]: e for v, e in monomial_of(g).exps if v[0] == TAG_X}
             assert x_part == {p: d - 2 for p, d in count.items() if d != 2}, (ic, g)
+            assert _edge_exponents(g) == {r.variable(): 1 for r in g.long_edges}, (ic, g)
             s = to_simplified(g)
             assert from_simplified(s) == g
             assert simplified_components(s) == (3 * s.N + 5) // 2
@@ -638,9 +639,15 @@ def _x_exponents(g):
     return {v[1:]: e for v, e in monomial_of(g).exps if v[0] == TAG_X}
 
 
+def _edge_exponents(g):
+    """Every other variable of the monomial, which must be the long edges' edge variables."""
+    return {v: e for v, e in monomial_of(g).exps if v[0] != TAG_X}
+
+
 def test_packed_tables_agree_with_the_monomial():
-    # The degree tables and the coefficient-one law against the monomial route, on
-    # a hand-built grove, enumerated groves and masks with a bit flipped.
+    # The degree tables, the coefficient-one law and the decoded long edges against
+    # the monomial route, on a hand-built grove, enumerated groves and masks with a
+    # bit flipped.
     rng = random.Random(1203)
     cases = [(EMPTY, [Grove(EMPTY, [Rhombus("b", (0, 0, 0))])])]
     for ic in [random_ic(rng, depth=1, boxes=4) for _ in range(8)] + [lattice.kleber(2, 2, 2)]:
@@ -653,6 +660,7 @@ def test_packed_tables_agree_with_the_monomial():
         for g in gs:
             x = _x_exponents(g)
             assert grove_degrees(g) == {p: 2 + x.get(p, 0) for p in points}, (ic, g)
+            assert _edge_exponents(g) == {r.variable(): 1 for r in g.long_edges}, (ic, g)
             for r in ic.rhombi_in_J(ic.min_cutoff):
                 assert coeffone_sums(g, r) == -(r in g.long_edges), (ic, g, r)
 

@@ -149,10 +149,10 @@ def test_a_zero_diagonal_is_named_by_the_walk():
     x = LaurentPoly.variable(xvar(0, 0, 0))
     with pytest.raises(DivisionByZero):
         quotient_of_products([(1, x, x)], LaurentPoly.zero())
-    diagonal = (-1, -1, -1)
+    diagonal, ic = (-1, -1, -1), lattice.standard(2)
     with pytest.raises(recurrence.DivisionByZeroDuringRecursion) as info:
         recurrence._walk(
-            lattice.standard(2),
+            ic.peel_sequence(), recurrence._neighbor_scheme, ic.in_I,
             lambda p: LaurentPoly.zero() if p == diagonal else LaurentPoly.variable(xvar(*p)),
             lambda w: recurrence._coeffs(w, recurrence.MODE_EDGE_VARS, LaurentPoly.variable),
             quotient_of_products,

@@ -1,6 +1,8 @@
 """Gale-Robinson terms, certificates, and the symbolic reduction."""
 
+import itertools
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -44,6 +46,37 @@ def test_custom_initials_and_zero_division():
         gr_terms(spec, 4, initial=[0, 1, 1])
     with pytest.raises(ValueError):
         gr_terms(spec, 4, initial=[1, 1])
+
+
+def reference_terms(spec, initial, count):
+    """The first count terms of the recurrence in plain Fractions, from n initial ones."""
+    n, p, q, r = spec.n, spec.p, spec.q, spec.r
+    y = list(initial[:count])
+    for m in range(n, count):
+        l = m - n
+        y.append((spec.alpha * y[l + p] * y[m - p] + spec.beta * y[l + q] * y[m - q]
+                  + spec.gamma * y[l + r] * y[m - r]) / y[l])
+    return y
+
+
+def test_terms_and_expansions_match_a_fraction_reference():
+    # The reference shares no code with the walk: neither its loop nor a kernel.
+    rng = random.Random(29)
+
+    def nonzero():
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+
+    for p, q, r in itertools.product((1, 2, 3), repeat=3):
+        spec = GaleRobinsonSpec(p, q, r, nonzero(), nonzero(), nonzero())
+        n = spec.n
+        initial = [nonzero() for _ in range(n)]
+        expected = reference_terms(spec, initial, 20)
+        for count in (0, n - 1, n, n + 1, 20):
+            assert gr_terms(spec, count, initial) == expected[:count], (spec, count)
+        point = {yvar(m): y for m, y in enumerate(initial)}
+        point.update({ALPHA: spec.alpha, BETA: spec.beta, GAMMA: spec.gamma})
+        for l in range(n + 7):
+            assert laurent.evaluate(gr_symbolic(spec, l), point) == expected[l], (spec, l)
 
 
 def test_integrality():
