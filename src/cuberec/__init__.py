@@ -28,10 +28,8 @@ from .lattice import (
 )
 from .recurrence import (
     MODE_ABC,
-    MODE_ALL_ONES,
     MODE_EDGE_VARS,
     MODE_SHIFT_OCTA,
-    CustomMode,
     f_numeric,
     f_symbolic,
     f_via_substitution,

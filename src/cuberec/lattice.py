@@ -26,8 +26,8 @@ fall into bands by their top's coordinate sum, and one band rule serves both
 rhombus queries: rhombi_in_J(N) is the bands of sum >= -N, and
 rhombi_touching_J(N) adds the two of sum -N-1 and -N-2, whose edges reach
 J(N) from below.  Each band goes through contains_rhombus once per ideal,
-whichever query asks for it first.  Both rules assume upward closure, so an
-ideal built with validate=False that lacks it is outside their contract.
+whichever query asks for it first.  Both rules rest on upward closure,
+which every ideal is checked for when it is built.
 
 Rhombi come in three axes by one rule: axis t of AXES is free in coordinate
 t.  Its rhombus steps down from the top vertex along the other two
@@ -158,12 +158,11 @@ class InitialConditions:
 
     __slots__ = ("u_fin", "_min_cutoff", "_windows")
 
-    def __init__(self, u_fin: Iterable[Point3] = (), validate: bool = True):
+    def __init__(self, u_fin: Iterable[Point3] = ()):
         self.u_fin = frozenset(tuple(p) for p in u_fin)
         self._min_cutoff = None
         self._windows = {}
-        if validate:
-            self.validate()
+        self.validate()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, InitialConditions):

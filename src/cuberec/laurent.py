@@ -366,17 +366,19 @@ class LaurentPoly:
         return sorted(_variables[f] for f in self._fields())
 
     def exponent_range(self, tag: int) -> tuple[int, int] | None:
-        """Min/max exponent over all stored occurrences of variables with ``tag``."""
-        w = self._w
-        bias, _ = _masks(w)
-        h = 1 << (w - 2)
-        fields = [f for f in self._fields() if _variables[f][0] == tag]
-        seen = set()
-        for k in self._terms:
-            digits = _digits(k + bias, w)
-            seen.update([digits[f] for f in fields])
-        seen.discard(h)  # an exponent 0 is no occurrence
-        return (min(seen) - h, max(seen) - h) if seen else None
+        """The least and greatest exponent of a variable with ``tag`` over all terms.
+
+        A term without one of those variables counts as exponent 0 for it, so
+        the range is read off the two keys of ``_extremes``.  None when no
+        term has a variable with ``tag``.
+        """
+        if not self._terms:
+            return None
+        least, greatest = (dict(_exps_of(k, self._w)) for k in _extremes(self._terms, self._w))
+        tagged = [v for v in least.keys() | greatest.keys() if v[0] == tag]
+        if not tagged:
+            return None
+        return min(least.get(v, 0) for v in tagged), max(greatest.get(v, 0) for v in tagged)
 
     def terms(self) -> list[Monomial]:
         """Terms in canonical order: descending graded lex over the variable order."""

@@ -16,8 +16,9 @@ where the coefficient system depends on the mode:
                 (each edge variable maps to a square root of a coefficient
                 ratio, so the products map to the coefficients themselves)
     shift-octa  the third term is dropped (the degenerate two-term recurrence)
-    all-ones    every variable is 1; numeric evaluation only
-    custom      A,B,C are fixed monomials in the indeterminate t
+
+f_numeric with no assignment sets every variable to 1; that is the CLI's
+all-ones value, the grove count, and no mode of its own.
 
 Three evaluators are provided.  f_symbolic and f_numeric share one walk up
 the peel sequence (_walk); only the ring's step differs.  It is the one walk
@@ -77,7 +78,6 @@ from .laurent import (
     ALPHA,
     BETA,
     GAMMA,
-    T,
     TAG_A,
     TAG_B,
     TAG_C,
@@ -92,17 +92,7 @@ from .lattice import InitialConditions, Point3
 
 MODE_EDGE_VARS = "edge-vars"
 MODE_ABC = "abc"
-MODE_ALL_ONES = "all-ones"
 MODE_SHIFT_OCTA = "shift-octa"
-
-
-@dataclass(frozen=True)
-class CustomMode:
-    """Per-axis edge-variable specialization to monomials coeff * t**exp."""
-
-    a: tuple[int, int] = (1, 0)
-    b: tuple[int, int] = (1, 0)
-    c: tuple[int, int] = (1, 0)
 
 
 class HalfIntegerExponent(ArithmeticError):
@@ -113,17 +103,6 @@ class DivisionByZeroDuringRecursion(ZeroDivisionError):
     def __init__(self, point: Point3):
         self.point = point
         super().__init__(f"recurrence value vanished at {point}")
-
-
-class RecursionEscaped(ValueError):
-    """The recursion needed a point that is neither computed nor initial.
-
-    Only initial conditions built with ``validate=False`` can get here.
-    """
-
-    def __init__(self, point: Point3):
-        self.point = point
-        super().__init__(f"recursion escaped the initial conditions at {point}")
 
 
 def _neighbor_scheme(w: Point3):
@@ -139,26 +118,23 @@ def _neighbor_scheme(w: Point3):
 def _coeffs(w: Point3, mode, weight, mul=operator.mul, one=1) -> tuple:
     """The three coefficients at w, in the ring of ``weight``.
 
-    ``weight(v, exp, coeff)`` is coeff * v**exp in that ring, ``mul`` its
-    product and ``one`` its unit.  A vanishing coefficient is falsy in either
-    ring, so the walk reads no value it would multiply by zero.
+    ``weight(v)`` is the variable v in that ring, ``mul`` its product and
+    ``one`` its unit.  A vanishing coefficient is falsy in either ring, so
+    the walk reads no value it would multiply by zero.  Each evaluator checks
+    its mode on entry (_check_mode), so any other mode is edge-vars.
     """
     if mode == MODE_SHIFT_OCTA:
         return (one, one, 0)
     if mode == MODE_ABC:
         return (weight(ALPHA), weight(BETA), weight(GAMMA))
     i, j, k = w
-    if mode == MODE_EDGE_VARS:
-        a, b, c = weight(avar(j, k)), weight(bvar(i, k)), weight(cvar(i, j))
-    else:  # a CustomMode; each evaluator checks its mode on entry (_check_mode)
-        a, b, c = (weight(T, exp, coeff) for coeff, exp in (mode.a, mode.b, mode.c))
+    a, b, c = weight(avar(j, k)), weight(bvar(i, k)), weight(cvar(i, j))
     return (mul(b, c), mul(c, a), mul(a, b))
 
 
-def _check_mode(mode, *extra) -> None:
-    """ValueError unless mode is a symbolic mode, a CustomMode or one of extra."""
-    if not (mode in (MODE_EDGE_VARS, MODE_ABC, MODE_SHIFT_OCTA, *extra)
-            or isinstance(mode, CustomMode)):
+def _check_mode(mode) -> None:
+    """ValueError unless mode is edge-vars, abc or shift-octa."""
+    if mode not in (MODE_EDGE_VARS, MODE_ABC, MODE_SHIFT_OCTA):
         raise ValueError(f"unsupported mode {mode!r}")
 
 
@@ -208,7 +184,7 @@ def _as_pair(x: Fraction | int) -> tuple[int, int]:
     return (x.numerator, x.denominator)
 
 
-def _walk(points, scheme, initial, leaf, coeffs, step):
+def _walk(points, scheme, leaf, coeffs, step):
     """The value function of a three-term recurrence, in any ring.
 
     Each point w of ``points`` is visited in order: ``scheme(w)`` gives its
@@ -217,19 +193,19 @@ def _walk(points, scheme, initial, leaf, coeffs, step):
     ``coeff * v1 * v2`` over the (coeff, v1, v2) ``terms`` divided exactly by
     ``den``, raising ZeroDivisionError when ``den`` is zero, which comes out
     as DivisionByZeroDuringRecursion(d).  A point read before it is visited
-    must satisfy ``initial``, else RecursionEscaped; ``leaf(p)`` is its
-    value, read once.  The cube recurrence walks the peel sequence with
-    _neighbor_scheme, the Gale-Robinson recursion the indices n, n+1, ... of
-    its terms (``sequences``).  The returned function gives the value at any
-    visited or initial point.
+    is initial, and ``leaf(p)`` is its value, read once.  The cube recurrence
+    walks the peel sequence of an ideal with _neighbor_scheme; upward closure,
+    checked when the ideal is built, puts every neighbour and the diagonal of
+    a peeled point either earlier in the sequence or among the initial
+    points.  The Gale-Robinson recursion walks the indices n, n+1, ... of its
+    terms (``sequences``), whose neighbours all lie below the index.  The
+    returned function gives the value at any visited or initial point.
     """
     memo = {}
 
     def value(p):
         got = memo.get(p)
         if got is None:
-            if not initial(p):
-                raise RecursionEscaped(p)
             got = memo[p] = leaf(p)
         return got
 
@@ -258,7 +234,7 @@ def f_symbolic(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPoly:
     """
     _check_mode(mode)
     return _walk(
-        ic.peel_sequence(), _neighbor_scheme, ic.in_I,
+        ic.peel_sequence(), _neighbor_scheme,
         lambda p: LaurentPoly.variable(xvar(*p)),
         lambda w: _coeffs(w, mode, LaurentPoly.variable),
         laurent.quotient_of_products,
@@ -273,17 +249,13 @@ def f_via_substitution(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPol
     step with ``laurent.substitute``.  The step is one call of the product
     loop: each nonzero coefficient times the monomial x(p1) * x(p2) over the
     diagonal predecessor's variable.  Shift-octa's coefficients are the
-    polynomial one, so that the loop multiplies polynomials only.
+    polynomial one, so that the loop multiplies polynomials only.  Upward
+    closure, checked when the ideal is built, makes every point a step reads
+    one that is restored later or stays initial.
     """
     _check_mode(mode)
     if mode == MODE_ABC:
         return abc_from_edge_vars(f_via_substitution(ic, MODE_EDGE_VARS))
-
-    def checked_xvar(p: Point3) -> VarKey:
-        # Each point the step reads is restored later or stays initial.
-        if p not in ic.u_fin and not ic.in_I(p):
-            raise RecursionEscaped(p)
-        return xvar(*p)
 
     one = LaurentPoly.one()
     poly = LaurentPoly.variable(xvar(0, 0, 0))
@@ -291,7 +263,7 @@ def f_via_substitution(ic: InitialConditions, mode=MODE_EDGE_VARS) -> LaurentPol
         pairs, d = _neighbor_scheme(w)
         step = laurent._sum_of_products(
             (coeff, LaurentPoly.monomial(
-                1, [(checked_xvar(p1), 1), (checked_xvar(p2), 1), (checked_xvar(d), -1)]))
+                1, [(xvar(*p1), 1), (xvar(*p2), 1), (xvar(*d), -1)]))
             for coeff, (p1, p2) in zip(_coeffs(w, mode, LaurentPoly.variable, one=one), pairs)
             if coeff
         )
@@ -328,17 +300,13 @@ def f_numeric(
     """Exact rational value at the origin, without symbolic expansion.
 
     With no assignment every variable is 1 (the grove count in edge-vars
-    mode); otherwise every variable read must be assigned.  In all-ones mode
-    every variable is 1, and an assignment raises ValueError.
+    mode, which the CLI prints as the all-ones value); otherwise every
+    variable read must be assigned.
     """
-    _check_mode(mode, MODE_ALL_ONES)
-    if mode == MODE_ALL_ONES:
-        if assign is not None:
-            raise ValueError("all-ones mode sets every variable to 1; it takes no assignment")
-        mode = MODE_EDGE_VARS  # the ones come from ``assign`` being None
+    _check_mode(mode)
     # A coefficient variable recurs at many points; each converts once.  The
     # walk reads each initial point's value once.
-    coefficient_values: dict[VarKey, tuple[int, int]] = {}
+    coefficient_values: dict[VarKey, tuple[int, int] | int] = {}
 
     def lookup(v: VarKey) -> tuple[int, int]:
         if assign is None:
@@ -347,24 +315,19 @@ def f_numeric(
             raise laurent.UnassignedVariable(laurent.var_name(v))
         return _as_pair(assign[v])
 
-    def weight(v: VarKey, exp: int = 1, coeff: int = 1):
-        # A pair, or 0 when the weight vanishes, so that _coeffs' test sees it.
+    def weight(v: VarKey):
+        # A pair, or 0 when its numerator is 0, so that _coeffs' test sees it.
         x = coefficient_values.get(v)
         if x is None:
-            x = coefficient_values[v] = lookup(v)
-        n, d = x
-        if exp < 0:
-            if not n:
-                raise laurent.ZeroToNegativePower(laurent.var_name(v))
-            n, d, exp = d, n, -exp
-        n = coeff * n**exp
-        return (n, d**exp) if n else 0
+            n, d = lookup(v)
+            x = coefficient_values[v] = (n, d) if n else 0
+        return x
 
     def mul(x, y):
         return (x[0] * y[0], x[1] * y[1]) if x and y else 0
 
     n, d = _walk(
-        ic.peel_sequence(), _neighbor_scheme, ic.in_I,
+        ic.peel_sequence(), _neighbor_scheme,
         lambda p: lookup(xvar(*p)),
         lambda w: _coeffs(w, mode, weight, mul, (1, 1)),
         _rational_step,

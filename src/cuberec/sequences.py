@@ -76,7 +76,7 @@ def _gr_walk(spec: GaleRobinsonSpec, count: int, leaf, coeffs, step) -> list:
         return ((l + p, m - p), (l + q, m - q), (l + r, m - r)), l
 
     try:
-        value = recurrence._walk(range(n, count), scheme, n.__gt__, leaf, lambda m: coeffs, step)
+        value = recurrence._walk(range(n, count), scheme, leaf, lambda m: coeffs, step)
     except recurrence.DivisionByZeroDuringRecursion as exc:
         raise ZeroDivisionError(f"term y_{exc.point} is zero") from None
     return [value(m) for m in range(count)]

@@ -573,6 +573,29 @@ def test_from_simplified_refuses_edges_no_grove_induces():
             from_simplified(flipped)
 
 
+def test_from_simplified_gives_back_the_edges_it_was_given():
+    # The even edges are pairwise distinct, so the grove from_simplified
+    # returns has a bit for exactly each given edge: to_simplified gives them back.
+    rng = random.Random(30)
+    returned = 0
+    for ic in (lattice.standard(3), lattice.standard(4)):
+        for N in (ic.min_odd_cutoff, ic.min_odd_cutoff + 2):
+            base = to_simplified(base_grove(ic), N)
+            even_edges = groves._window(ic, N).even_tables[1]
+            sets = [to_simplified(g, N).edges for g in enumerate_local_moves(ic)]
+            sets += [s ^ {e} for s in sets[:8] for e in even_edges]
+            sets += [s ^ set(rng.sample(even_edges, 2)) for s in sets[:40] for _ in range(8)]
+            sets += [frozenset(e for e in even_edges if rng.random() < 0.5) for _ in range(40)]
+            for edges in sets:
+                try:
+                    g = from_simplified(dataclasses.replace(base, edges=edges))
+                except ValueError:
+                    continue
+                assert to_simplified(g, N).edges == edges, (ic, N)
+                returned += 1
+    assert returned > 2 * (9 + 81)  # more than the groves' own edge sets
+
+
 def test_simplified_cutoff_validation():
     g = base_grove(lattice.standard(4))
     with pytest.raises(CutoffNotOdd):

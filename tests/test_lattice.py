@@ -23,6 +23,10 @@ def test_validate_examples():
     with pytest.raises(NotUpwardClosed) as err:
         InitialConditions([(-1, 0, 0)])
     assert err.value.missing == (0, 0, 0)
+    # Six points lie between these two; the first one above the lowest is named.
+    with pytest.raises(NotUpwardClosed) as err:
+        InitialConditions([(0, 0, 0), (-1, -1, -1)])
+    assert (err.value.point, err.value.missing) == ((-1, -1, -1), (0, -1, -1))
     with pytest.raises(NotInCone):
         InitialConditions([(1, 0, 0)])
 

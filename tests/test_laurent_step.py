@@ -152,7 +152,7 @@ def test_a_zero_diagonal_is_named_by_the_walk():
     diagonal, ic = (-1, -1, -1), lattice.standard(2)
     with pytest.raises(recurrence.DivisionByZeroDuringRecursion) as info:
         recurrence._walk(
-            ic.peel_sequence(), recurrence._neighbor_scheme, ic.in_I,
+            ic.peel_sequence(), recurrence._neighbor_scheme,
             lambda p: LaurentPoly.zero() if p == diagonal else LaurentPoly.variable(xvar(*p)),
             lambda w: recurrence._coeffs(w, recurrence.MODE_EDGE_VARS, LaurentPoly.variable),
             quotient_of_products,

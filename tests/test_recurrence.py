@@ -25,17 +25,16 @@ from cuberec.recurrence import (
     MODE_ABC,
     MODE_EDGE_VARS,
     MODE_SHIFT_OCTA,
-    CustomMode,
     DivisionByZeroDuringRecursion,
-    RecursionEscaped,
     _neighbor_scheme,
+    _walk,
     abc_from_edge_vars,
     f_numeric,
     f_symbolic,
     f_via_substitution,
     octahedron_check,
 )
-from cuberec.sequences import GaleRobinsonSpec, gr_symbolic, gr_terms
+from cuberec.sequences import SOMOS6, SOMOS7, GaleRobinsonSpec, _gr_walk, gr_symbolic, gr_terms
 
 
 def mono(*items):
@@ -79,8 +78,7 @@ def test_symbolic_matches_grove_sum_on_kleber_233():
 
 def test_substitution_evaluator_matches_random():
     rng = random.Random(41)
-    custom = CustomMode(a=(1, 1), b=(1, 1), c=(1, -1))
-    modes = (MODE_EDGE_VARS, MODE_ABC, MODE_SHIFT_OCTA, custom)
+    modes = (MODE_EDGE_VARS, MODE_ABC, MODE_SHIFT_OCTA)
     for _ in range(8):
         ic = random_ic(rng, depth=1)
         for mode in modes:
@@ -163,18 +161,38 @@ def test_substitution_steps_are_one_kernel_call_each(monkeypatch):
     assert len(calls) == 2 * len(ic.peel_sequence())
 
 
-def test_escaped_recursion_raises():
-    # Not upward closed: (-1,0,0) lies between the two points, so the step at
-    # (-1,-1,-1) needs (-2,-1,-1), which is neither computed nor initial.
-    ic = InitialConditions([(0, 0, 0), (-1, -1, -1)], validate=False)
-    remainders = laurent.nonzero_remainder_count
-    evaluators = (f_symbolic, f_numeric, f_via_substitution, octahedron_check,
-                  lambda ic: f_via_substitution(ic, MODE_SHIFT_OCTA))
-    for evaluate_origin in evaluators:
-        with pytest.raises(RecursionEscaped) as err:
-            evaluate_origin(ic)
-        assert err.value.point == (-2, -1, -1)
-    assert laurent.nonzero_remainder_count == remainders
+def test_every_point_read_is_visited_before_or_initial():
+    # Upward closure, checked when an ideal is built, is what keeps each walk
+    # inside its initial conditions: a neighbour or the diagonal of a peeled
+    # point is peeled before it or initial.  In substitution's reversed order,
+    # that is restored after it or initial.  So the walk's leaf sees only
+    # initial points, each once.
+    rng = random.Random(30)
+    ideals = [random_ic(rng, depth=rng.randint(1, 4)) for _ in range(300)]
+    ideals += [lattice.standard(n) for n in range(1, 6)]
+    ideals += [lattice.kleber(2, 3, 2), lattice.kleber(3, 3, 3)]
+    ideals += [lattice.gale_robinson(4, 1, 2, l) for l in range(7, 17)]
+    ideals += [lattice.gale_robinson(1, 2, 3, l) for l in range(6, 15)]
+    reads = 0
+    for ic in ideals:
+        peeled = set()
+        for w in ic.peel_sequence():
+            pairs, d = _neighbor_scheme(w)
+            for p in (*itertools.chain.from_iterable(pairs), d):
+                assert p in peeled or ic.in_I(p), (ic, w, p)
+                reads += 1
+            peeled.add(w)
+        leaves = []
+        value = _walk(ic.peel_sequence(), _neighbor_scheme, lambda p: leaves.append(p) or 1,
+                      lambda w: (1, 1, 1), lambda terms, den: 1)
+        assert value((0, 0, 0)) == 1
+        assert all(map(ic.in_I, leaves)) and len(set(leaves)) == len(leaves), ic
+    assert reads > 30_000
+    # The Gale-Robinson recursion reads only indices below the one it computes.
+    for spec in (SOMOS6, SOMOS7, GaleRobinsonSpec(2, 3, 5)):
+        leaves = []
+        _gr_walk(spec, 60, lambda m: leaves.append(m) or 1, (1, 1, 1), lambda terms, den: 1)
+        assert sorted(leaves) == list(range(spec.n)), spec
 
 
 def test_abc_mode():
@@ -212,20 +230,6 @@ def test_abc_walk_matches_both_edge_vars_routes():
         assert direct == via_walk, ic
         assert laurent.to_json(direct) == laurent.to_json(via_walk), ic
         assert direct == f_via_substitution(ic, MODE_ABC), ic
-
-
-def test_custom_mode_t_parity():
-    # a,b -> t and c -> 1/t: the t-exponent of each term is a nonnegative
-    # even integer (the long-edge axis count combination).
-    mode = CustomMode(a=(1, 1), b=(1, 1), c=(1, -1))
-    for ic in (ONE_STEP, lattice.standard(3), lattice.standard(4)):
-        poly = f_symbolic(ic, mode)
-        rng = poly.exponent_range(laurent.TAG_T)
-        if rng is not None:
-            assert rng[0] >= 0
-        for m in poly.terms():
-            t_exp = sum(e for v, e in m.exps if v[0] == laurent.TAG_T)
-            assert t_exp >= 0 and t_exp % 2 == 0
 
 
 def test_shift_octa_examples():
@@ -291,9 +295,10 @@ def test_all_ones_sets_every_variable_to_one():
     ic = lattice.standard(2)
     every_two = {v: 2 for v in f_symbolic(ic).variables()}
     assert f_numeric(ic, every_two) == 24
-    assert f_numeric(ic, None, "all-ones") == 3 == f_numeric(ic)
-    with pytest.raises(ValueError, match="all-ones"):
-        f_numeric(ic, every_two, "all-ones")
+    assert f_numeric(ic) == 3
+    # All ones is no assignment, not a library mode; the CLI's all-ones mode calls f_numeric(ic).
+    with pytest.raises(ValueError, match="unsupported mode 'all-ones'"):
+        f_numeric(ic, None, "all-ones")
 
 
 def test_an_unsupported_mode_is_refused_where_no_point_is_walked():
@@ -309,6 +314,16 @@ def test_x_exponent_range():
     for ic in (ONE_STEP, lattice.standard(4), lattice.kleber(2, 2, 2)):
         lo, hi = f_symbolic(ic).exponent_range(laurent.TAG_X)
         assert lo >= -1 and hi <= 4
+
+
+def test_exponent_range_counts_a_missing_variable_as_zero():
+    # Some term of the abc polynomial has no alpha, so alpha's range reaches 0.
+    assert f_symbolic(lattice.standard(4), MODE_ABC).exponent_range(laurent.TAG_ALPHA) == (0, 4)
+    poly = mono((xvar(0, 0, 0), 2), (yvar(1), 1)) + mono((xvar(0, 0, 0), 2))
+    assert poly.exponent_range(laurent.TAG_X) == (2, 2)
+    assert poly.exponent_range(laurent.TAG_Y) == (0, 1)
+    assert poly.exponent_range(laurent.TAG_ALPHA) is None
+    assert LaurentPoly.zero().exponent_range(laurent.TAG_X) is None
 
 
 class RandomPoint(dict):
@@ -329,9 +344,7 @@ class RandomPoint(dict):
 
 def test_numeric_matches_symbolic_across_modes_and_signs():
     rng = random.Random(2004)
-    # A negative coefficient and a negative exponent.
-    custom = CustomMode(a=(-2, 1), b=(1, -1), c=(3, 2))
-    modes = (MODE_EDGE_VARS, MODE_ABC, MODE_SHIFT_OCTA, custom)
+    modes = (MODE_EDGE_VARS, MODE_ABC, MODE_SHIFT_OCTA)
     agreed = vanished = 0
     for _ in range(40):
         ic = random_ic(rng, depth=1)
